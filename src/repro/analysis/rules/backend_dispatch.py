@@ -3,12 +3,12 @@
 The :mod:`repro.kernels` package is a thin contract layer: the public
 functions document the algorithms and delegate the heavy array work to
 the active :class:`~repro.backends.base.ArrayBackend`, so that the
-multiproc (and, when available, numba) backends accelerate every caller
-at once.  A raw ``np.bincount`` / ``np.lexsort`` / sort-family call
-inside the package silently reintroduces a single-threaded hot path the
-backend layer can never see — the kernels keep *glue* numpy (shape
-casts, cumsums, range arithmetic), but the dispatch-worthy primitives
-must come from ``get_backend()``.
+multiproc backend accelerates every caller at once.  A raw
+``np.bincount`` / ``np.lexsort`` / sort-family call inside the package
+silently reintroduces a single-threaded hot path the backend layer can
+never see — the kernels keep *glue* numpy (shape casts, cumsums, range
+arithmetic), but the dispatch-worthy primitives must come from
+``get_backend()``.
 
 The rule is path-scoped to ``repro/kernels/`` package files (tests and
 the backend implementations themselves are fair game); reference

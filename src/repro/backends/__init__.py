@@ -7,9 +7,7 @@ package, one module per implementation:
 * :mod:`~repro.backends.numpy_backend` — single-threaded vectorised
   NumPy, the default and the bit-identity reference;
 * :mod:`~repro.backends.multiproc` — process-parallel execution over
-  shared-memory views of the frozen CSR buffers;
-* :mod:`~repro.backends.numba_backend` — optional JIT'd loops, silently
-  unavailable when numba is not installed.
+  shared-memory views of the frozen CSR buffers.
 
 Selection precedence (first match wins):
 
@@ -51,11 +49,10 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 #: name -> (module, class); implementations import lazily so selecting
-#: numpy never pays for multiprocessing/numba machinery.
+#: numpy never pays for multiprocessing machinery.
 _REGISTRY: dict[str, tuple[str, str]] = {
     "numpy": ("repro.backends.numpy_backend", "NumpyBackend"),
     "multiproc": ("repro.backends.multiproc", "MultiprocBackend"),
-    "numba": ("repro.backends.numba_backend", "NumbaBackend"),
 }
 
 _instances: dict[str, ArrayBackend] = {}
@@ -93,12 +90,7 @@ def resolve_backend_name(name: str | None = None) -> str:
 
 
 def get_backend(name: str | None = None) -> ArrayBackend:
-    """Return the active backend instance (lazily constructed singleton).
-
-    Explicitly selecting a backend whose optional dependency is missing
-    raises :class:`~repro.errors.BackendError`; merely *having* such a
-    backend in the registry never does.
-    """
+    """Return the active backend instance (lazily constructed singleton)."""
     resolved = resolve_backend_name(name)
     instance = _instances.get(resolved)
     if instance is None:
@@ -108,11 +100,6 @@ def get_backend(name: str | None = None) -> ArrayBackend:
                 module_name, class_name = _REGISTRY[resolved]
                 instance = getattr(import_module(module_name), class_name)()
                 _instances[resolved] = instance
-    if not instance.available():
-        raise BackendError(
-            f"backend {resolved!r} is not available on this host "
-            "(missing optional dependency)"
-        )
     return instance
 
 
@@ -150,17 +137,11 @@ def use_backend(name: str | None):
 def available_backends() -> dict[str, bool]:
     """Map every registered backend name to host availability.
 
-    Availability probing must not drag in heavyweight machinery, so the
-    instances are constructed lazily like everywhere else (constructors
-    are cheap by contract: pools/JIT engage on first use).
+    Every registered backend needs only numpy and the standard library,
+    so each one is available; ``repro-bench backends`` records the map
+    beside its timings.
     """
-    report = {}
-    for registered in sorted(_REGISTRY):
-        try:
-            report[registered] = get_backend(registered).available()
-        except BackendError:
-            report[registered] = False
-    return report
+    return {registered: True for registered in sorted(_REGISTRY)}
 
 
 @atexit.register

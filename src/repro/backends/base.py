@@ -26,17 +26,12 @@ __all__ = ["ArrayBackend"]
 class ArrayBackend:
     """Execution strategy for the kernel layer's data-parallel operations.
 
-    Subclasses override the three operation hooks; :meth:`available` lets
-    optional backends (numba) report missing dependencies without import
-    errors, and :meth:`close` releases process pools / shared memory.
+    Subclasses override the three operation hooks; :meth:`close`
+    releases process pools / shared memory.
     """
 
     #: Registry name, e.g. ``"numpy"``; set by each implementation.
     name: str = "abstract"
-
-    def available(self) -> bool:
-        """Whether this backend can actually run on the current host."""
-        return True
 
     def segment_h_index(
         self,

@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "multiproc", "numba"),
+        choices=("numpy", "multiproc"),
         default=None,
         help="array backend the kernels execute on (default: the "
         "REPRO_BACKEND environment variable, then numpy); results are "

@@ -2,32 +2,37 @@
 
 The paper's conclusion proposes porting PKMC/PWC to a distributed
 platform "when the graph is too large to be kept by a single machine".
-This package provides the substrate for that study: a deterministic
-bulk-synchronous-parallel (BSP / Pregel-style) cluster simulation in the
+This module is the cost side of that study: a deterministic
+bulk-synchronous-parallel (BSP / Pregel-style) cluster model in the
 same spirit as :class:`~repro.runtime.SimRuntime` — vertex-centric
-programs execute their kernels once, while the cluster model charges per
+programs execute their kernels once, while the accountant charges per
 superstep:
 
     T_superstep = max_w(compute_w) / core_speed
-                + max_w(bytes_in_w, bytes_out_w) / bandwidth
+                + max_w(bytes_out_w) / bandwidth
                 + network latency (one exchange round)
                 + barrier + aggregator round-trip
 
 which captures the two facts any distributed port must confront: the
 slowest partition gates every superstep, and message volume — not work —
-usually dominates for sparse iterative algorithms.
+usually dominates for sparse iterative algorithms.  Who the workers are
+is the solver's business (hash partition in RAM, one worker per shard
+out of core); the accountant only sees per-worker totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..graph.undirected import UndirectedGraph
 
-__all__ = ["ClusterConfig", "Partition", "BSPCluster"]
+__all__ = ["ClusterConfig", "BSPAccountant"]
+
+#: Smallest legal value per ClusterConfig field; the rest must be >= 0.
+_LEAST_VALUE = {"num_workers": 1, "bytes_per_message": 1}
 
 
 @dataclass(frozen=True)
@@ -54,116 +59,94 @@ class ClusterConfig:
     """One (target vertex id, value) message record."""
 
     def __post_init__(self):
-        if self.num_workers < 1:
-            raise SimulationError("num_workers must be >= 1")
+        # Every constant feeds the superstep clock, which must stay a
+        # finite, non-decreasing number of seconds (as SimRuntime's does);
+        # the bandwidth is a divisor.
+        bandwidth = self.network_bandwidth_bytes_per_s
+        if not bandwidth > 0:
+            raise SimulationError(
+                f"network_bandwidth_bytes_per_s must be > 0, got {bandwidth!r}"
+            )
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            least = _LEAST_VALUE.get(spec.name, 0)
+            if not (math.isfinite(value) and value >= least):
+                raise SimulationError(
+                    f"{spec.name} must be a finite number >= {least}, got {value!r}"
+                )
 
 
-@dataclass
-class Partition:
-    """The vertices owned by one worker (hash partitioning by default)."""
+class BSPAccountant:
+    """Superstep clock over per-worker compute and message totals.
 
-    worker: int
-    vertices: np.ndarray
-    internal_degree_sum: int
-    cross_degree_sum: int
+    Each :meth:`superstep` charges the busiest worker's compute, the
+    busiest worker's outgoing message bytes plus one latency round, the
+    barrier and the aggregator round-trip.  The bill is kept as three
+    separate sums (compute, exchange, overhead) so reports can tell
+    computation from boundary traffic; :attr:`now` is their total.
+    """
 
-
-class BSPCluster:
-    """Deterministic simulated BSP execution over a partitioned graph."""
-
-    def __init__(self, graph: UndirectedGraph, config: ClusterConfig | None = None):
-        self.graph = graph
-        self.config = config or ClusterConfig()
-        self.owner = self._hash_partition()
-        self.partitions = self._build_partitions()
-        self._now = 0.0
+    def __init__(self, config: ClusterConfig, num_workers: int):
+        self.config = config
+        self.num_workers = num_workers
+        self.compute_seconds = 0.0
+        self.exchange_seconds = 0.0
+        self.overhead_seconds = 0.0
         self.supersteps = 0
         self.total_messages = 0
-        self.total_compute_units = 0.0
 
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-    def _hash_partition(self) -> np.ndarray:
-        """Assign vertex v to worker v mod W (GraphX-style hash partition)."""
-        return np.arange(self.graph.num_vertices) % self.config.num_workers
-
-    def _build_partitions(self) -> list[Partition]:
-        graph, owner = self.graph, self.owner
-        heads = graph.heads()
-        same_owner = owner[heads] == owner[graph.indices]
-        partitions = []
-        for worker in range(self.config.num_workers):
-            mine = owner == worker
-            vertex_ids = np.flatnonzero(mine)
-            slots = mine[heads]
-            internal = int(np.count_nonzero(slots & same_owner))
-            cross = int(np.count_nonzero(slots & ~same_owner))
-            partitions.append(
-                Partition(worker, vertex_ids, internal, cross)
-            )
-        return partitions
-
-    def cross_edge_fraction(self) -> float:
-        """Fraction of adjacency slots whose endpoints live on different
-        workers — the replication/communication factor of the partition."""
-        cross = sum(p.cross_degree_sum for p in self.partitions)
-        total = int(self.graph.degrees().sum())
-        return cross / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Simulated seconds elapsed."""
-        return self._now
+        """Simulated seconds elapsed across all supersteps."""
+        return self.compute_seconds + self.exchange_seconds + self.overhead_seconds
 
     def superstep(
-        self,
-        compute_units_per_vertex: np.ndarray,
-        message_counts_per_vertex: np.ndarray,
-        aggregate: bool = True,
-    ) -> float:
-        """Account one BSP superstep; return its simulated seconds.
+        self, compute_units: np.ndarray, message_counts: np.ndarray
+    ) -> None:
+        """Account one superstep from per-worker work and message totals.
 
-        ``compute_units_per_vertex[v]`` is the local work executed at v
-        this superstep; ``message_counts_per_vertex[v]`` the number of
-        messages v sends to *remote* neighbours (same-worker delivery is
-        free).  Both arrays are reduced per worker; the slowest worker
-        gates the step.
+        ``message_counts[w]`` counts the messages worker ``w`` sends to
+        other workers; same-worker delivery is free.
         """
         config = self.config
-        compute_units = np.asarray(compute_units_per_vertex, dtype=np.float64)
-        messages = np.asarray(message_counts_per_vertex, dtype=np.float64)
-        if compute_units.shape != (self.graph.num_vertices,):
-            raise SimulationError("per-vertex compute array has wrong shape")
-        if messages.shape != (self.graph.num_vertices,):
-            raise SimulationError("per-vertex message array has wrong shape")
-
-        worker_compute = np.bincount(
-            self.owner, weights=compute_units, minlength=config.num_workers
-        )
-        worker_out_bytes = (
-            np.bincount(self.owner, weights=messages, minlength=config.num_workers)
+        compute = np.asarray(compute_units, dtype=np.float64)
+        messages = np.asarray(message_counts, dtype=np.float64)
+        if compute.shape != (self.num_workers,) or messages.shape != compute.shape:
+            raise SimulationError(
+                f"expected per-worker totals of shape ({self.num_workers},)"
+            )
+        self.compute_seconds += float(compute.max()) * config.work_unit_seconds
+        self.exchange_seconds += (
+            float(messages.max())
             * config.bytes_per_message
-        )
-        compute_seconds = float(worker_compute.max()) * config.work_unit_seconds
-        network_seconds = (
-            float(worker_out_bytes.max()) / config.network_bandwidth_bytes_per_s
+            / config.network_bandwidth_bytes_per_s
             + config.network_latency_seconds
         )
-        elapsed = compute_seconds + network_seconds + config.barrier_seconds
-        if aggregate:
-            elapsed += config.aggregator_seconds
-        self._now += elapsed
+        self.overhead_seconds += config.barrier_seconds
+        self.overhead_seconds += config.aggregator_seconds
         self.supersteps += 1
         self.total_messages += int(messages.sum())
-        self.total_compute_units += float(compute_units.sum())
-        return elapsed
 
-    def __repr__(self) -> str:
-        return (
-            f"BSPCluster(workers={self.config.num_workers}, "
-            f"supersteps={self.supersteps}, now={self._now:.4g}s)"
-        )
+    def extras(self, shard_stats: dict | None = None) -> dict:
+        """The clock's counters, as a BSP result carries them in ``extras``.
+
+        A run over a :class:`~repro.store.shard.ShardedGraph` passes the
+        facade's ``stats()``; they come back as ``shard_stats`` with the
+        bytes this clock charged for boundary messages added.
+        """
+        extras = {
+            "supersteps": self.supersteps,
+            "total_messages": self.total_messages,
+            "num_workers": self.num_workers,
+            "compute_seconds": self.compute_seconds,
+            "exchange_seconds": self.exchange_seconds,
+            "overhead_seconds": self.overhead_seconds,
+        }
+        if shard_stats is not None:
+            extras["shard_stats"] = {
+                **shard_stats,
+                "boundary_messages_bytes": (
+                    self.total_messages * self.config.bytes_per_message
+                ),
+            }
+        return extras

@@ -58,10 +58,8 @@ class EngineError(ReproError):
 class BackendError(ReproError):
     """Raised by :mod:`repro.backends` for array-backend failures.
 
-    Covers unknown backend names, explicit selection of a backend whose
-    optional dependency is missing (e.g. ``numba`` without numba
-    installed), and worker-side failures surfaced by the multiprocessing
-    backend.
+    Covers unknown backend names and worker-side failures surfaced by
+    the multiprocessing backend.
     """
 
 

@@ -21,8 +21,8 @@ tests and the bench-regression harness can compare old against new.
 
 This layer states *what* every kernel computes; *how* it executes is
 delegated to the active array backend (:mod:`repro.backends` — numpy
-reference, shared-memory multiprocessing, optional numba JIT), selected
-via ``ExecutionContext(backend=...)`` or ``REPRO_BACKEND``.  Outputs
+reference or shared-memory multiprocessing), selected via
+``ExecutionContext(backend=...)`` or ``REPRO_BACKEND``.  Outputs
 are bit-identical across backends, and lint rule R013 flags direct
 ``np`` kernel calls here that would bypass the dispatch.
 """

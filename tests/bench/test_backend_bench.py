@@ -43,7 +43,7 @@ def good_payload():
     return {
         "schema": 1,
         "host": {"cpu_count": 4, "workers": 4, "repeats": 5},
-        "backends_available": {"numpy": True, "multiproc": True, "numba": False},
+        "backends_available": {"numpy": True, "multiproc": True},
         "workloads": [
             workload("small", 1.8),
             workload("medium", 2.0),

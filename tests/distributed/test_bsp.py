@@ -1,10 +1,12 @@
 """Tests for the simulated BSP cluster and the distributed PKMC port."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import pkmc
-from repro.distributed import BSPCluster, ClusterConfig, distributed_pkmc
+from repro.distributed import BSPAccountant, ClusterConfig, distributed_pkmc
 from repro.errors import EmptyGraphError, SimulationError
 from repro.graph import UndirectedGraph, chung_lu_undirected, gnm_random_undirected
 
@@ -14,74 +16,116 @@ class TestClusterConfig:
         config = ClusterConfig()
         assert config.num_workers == 8
 
-    def test_zero_workers_rejected(self):
-        with pytest.raises(SimulationError):
-            ClusterConfig(num_workers=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_workers", 0),
+            ("network_bandwidth_bytes_per_s", 0.0),
+            ("network_bandwidth_bytes_per_s", -1.0),
+            ("network_bandwidth_bytes_per_s", math.nan),
+            ("network_latency_seconds", -1.0),
+            ("network_latency_seconds", math.inf),
+            ("work_unit_seconds", -5e-9),
+            ("barrier_seconds", -1e-4),
+            ("aggregator_seconds", math.nan),
+            ("bytes_per_message", 0),
+            ("bytes_per_message", -12),
+        ],
+    )
+    def test_invalid_config_rejected(self, field, value):
+        # Each would break the superstep clock: a zero bandwidth divides
+        # by zero, a negative latency runs it backwards, NaN poisons it.
+        with pytest.raises(SimulationError, match=field):
+            ClusterConfig(**{field: value})
+
+    def test_zero_constants_allowed(self):
+        config = ClusterConfig(
+            work_unit_seconds=0.0,
+            network_latency_seconds=0.0,
+            barrier_seconds=0.0,
+            aggregator_seconds=0.0,
+        )
+        g = gnm_random_undirected(30, 60, seed=0)
+        assert distributed_pkmc(g, config).simulated_seconds >= 0.0
 
 
 class TestBSPCluster:
+    """The cost model: hash partition, cross edges and the accountant."""
+
     def test_hash_partition_covers_all(self):
         g = gnm_random_undirected(40, 80, seed=0)
-        cluster = BSPCluster(g, ClusterConfig(num_workers=4))
-        sizes = [p.vertices.size for p in cluster.partitions]
-        assert sum(sizes) == g.num_vertices
-        assert max(sizes) - min(sizes) <= 1  # hash partition is balanced
+        # Superstep 0 costs 2 units per vertex on its owner: one worker
+        # holds all 40 vertices, four balanced workers hold 10 each.
+        for workers, busiest in ((1, 40), (4, 10), (16, 3)):
+            config = ClusterConfig(num_workers=workers)
+            result = distributed_pkmc(g, config, max_supersteps=1)
+            assert result.extras["supersteps"] == 1
+            assert result.extras["compute_seconds"] == pytest.approx(
+                2.0 * busiest * config.work_unit_seconds
+            )
 
     def test_cross_edge_fraction_bounds(self):
         g = gnm_random_undirected(50, 150, seed=1)
-        single = BSPCluster(g, ClusterConfig(num_workers=1))
-        assert single.cross_edge_fraction() == 0.0
-        many = BSPCluster(g, ClusterConfig(num_workers=16))
-        assert 0.0 < many.cross_edge_fraction() <= 1.0
+        single = distributed_pkmc(g, ClusterConfig(num_workers=1))
+        assert single.extras["cross_edge_fraction"] == 0.0
+        assert single.extras["total_messages"] == 0
+        many = distributed_pkmc(g, ClusterConfig(num_workers=16))
+        assert 0.0 < many.extras["cross_edge_fraction"] <= 1.0
 
     def test_cross_fraction_grows_with_workers(self):
         g = gnm_random_undirected(100, 300, seed=2)
         fractions = [
-            BSPCluster(g, ClusterConfig(num_workers=w)).cross_edge_fraction()
+            distributed_pkmc(
+                g, ClusterConfig(num_workers=w)
+            ).extras["cross_edge_fraction"]
             for w in (2, 4, 16)
         ]
         assert fractions == sorted(fractions)
 
     def test_superstep_advances_clock(self):
-        g = gnm_random_undirected(20, 40, seed=3)
-        cluster = BSPCluster(g, ClusterConfig(num_workers=4))
-        elapsed = cluster.superstep(
-            np.ones(g.num_vertices), np.zeros(g.num_vertices)
+        accountant = BSPAccountant(ClusterConfig(num_workers=4), 4)
+        accountant.superstep(np.ones(4), np.zeros(4))
+        assert accountant.now > 0
+        assert accountant.now == pytest.approx(
+            accountant.compute_seconds
+            + accountant.exchange_seconds
+            + accountant.overhead_seconds
         )
-        assert elapsed > 0
-        assert cluster.now == elapsed
-        assert cluster.supersteps == 1
+        assert accountant.supersteps == 1
 
     def test_superstep_gated_by_slowest_worker(self):
-        g = UndirectedGraph.from_edges(4, [(0, 1), (2, 3)])
         config = ClusterConfig(
             num_workers=2,
             network_latency_seconds=0.0,
             barrier_seconds=0.0,
             aggregator_seconds=0.0,
         )
-        cluster = BSPCluster(g, config)
-        # All work on one worker's vertices (0 and 2 are worker 0).
-        compute = np.array([1e6, 0.0, 1e6, 0.0])
-        elapsed = cluster.superstep(compute, np.zeros(4), aggregate=False)
-        assert elapsed == pytest.approx(2e6 * config.work_unit_seconds)
+        lopsided = BSPAccountant(config, 2)
+        lopsided.superstep(np.array([2e6, 0.0]), np.zeros(2))
+        assert lopsided.now == pytest.approx(2e6 * config.work_unit_seconds)
+        # The same work spread evenly finishes in half the time.
+        even = BSPAccountant(config, 2)
+        even.superstep(np.array([1e6, 1e6]), np.zeros(2))
+        assert even.now == pytest.approx(lopsided.now / 2)
 
     def test_message_bytes_charged(self):
-        g = gnm_random_undirected(20, 40, seed=4)
         config = ClusterConfig(num_workers=4)
-        quiet = BSPCluster(g, config)
-        noisy = BSPCluster(g, config)
-        quiet.superstep(np.zeros(g.num_vertices), np.zeros(g.num_vertices))
-        noisy.superstep(
-            np.zeros(g.num_vertices), np.full(g.num_vertices, 1e5)
-        )
+        quiet = BSPAccountant(config, 4)
+        noisy = BSPAccountant(config, 4)
+        quiet.superstep(np.zeros(4), np.zeros(4))
+        noisy.superstep(np.zeros(4), np.full(4, 1e5))
         assert noisy.now > quiet.now
+        assert noisy.exchange_seconds - quiet.exchange_seconds == pytest.approx(
+            1e5 * config.bytes_per_message / config.network_bandwidth_bytes_per_s
+        )
+        assert noisy.total_messages == 4 * 10**5
 
     def test_wrong_shape_rejected(self):
-        g = gnm_random_undirected(10, 20, seed=5)
-        cluster = BSPCluster(g)
+        accountant = BSPAccountant(ClusterConfig(), 8)
         with pytest.raises(SimulationError):
-            cluster.superstep(np.ones(3), np.zeros(10))
+            accountant.superstep(np.ones(3), np.zeros(8))
+        with pytest.raises(SimulationError):
+            accountant.superstep(np.ones(8), np.zeros(10))
 
 
 class TestDistributedPKMC:

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributed import (
-    ShardedPartition,
-    distributed_pkmc,
-    distributed_pwc,
-    sharded_pkmc,
-    sharded_pwc,
-)
-from repro.distributed.cluster import ClusterConfig
+from repro.distributed import ClusterConfig, distributed_pkmc, distributed_pwc
+from repro.distributed.pkmc_bsp import _shard_cross_counts
 from repro.errors import EmptyGraphError
 from repro.graph.directed import DirectedGraph
 from repro.graph.generators import chung_lu_directed, chung_lu_undirected
@@ -71,7 +65,8 @@ class TestShardedPkmc:
     def test_direct_entry_point_and_extras(self, tmp_path):
         graph = chung_lu_undirected(300, 1_200, seed=45)
         sharded = _sharded(graph, tmp_path, 3)
-        result = sharded_pkmc(sharded, config=ClusterConfig(num_workers=3))
+        # One worker per shard: the config's worker count is ignored.
+        result = distributed_pkmc(sharded, config=ClusterConfig(num_workers=5))
         for key in ("supersteps", "total_messages", "cross_edge_fraction",
                     "history", "compute_seconds", "exchange_seconds",
                     "overhead_seconds", "shard_stats"):
@@ -82,12 +77,22 @@ class TestShardedPkmc:
             + result.extras["exchange_seconds"]
             + result.extras["overhead_seconds"]
         )
+        stats = result.extras["shard_stats"]
+        assert stats["boundary_messages_bytes"] == (
+            result.extras["total_messages"] * ClusterConfig().bytes_per_message
+        )
+
+    def test_shard_stats_only_for_sharded_input(self):
+        graph = chung_lu_undirected(300, 1_200, seed=45)
+        assert "shard_stats" not in distributed_pkmc(graph).extras
+        directed = chung_lu_directed(300, 1_200, seed=46)
+        assert "shard_stats" not in distributed_pwc(directed).extras
 
     def test_empty_graph_raises(self, tmp_path):
         graph = UndirectedGraph.from_edges(5, [])
         sharded = _sharded(graph, tmp_path, 2)
         with pytest.raises(EmptyGraphError):
-            sharded_pkmc(sharded)
+            distributed_pkmc(sharded)
 
 
 class TestShardedPwc:
@@ -133,24 +138,33 @@ class TestShardedPwc:
         graph = DirectedGraph.from_edges(4, [])
         sharded = _sharded(graph, tmp_path, 2)
         with pytest.raises(EmptyGraphError):
-            sharded_pwc(sharded)
+            distributed_pwc(sharded)
 
 
 class TestShardedPartition:
+    """A ShardedGraph input puts each contiguous shard on its own worker."""
+
     def test_geometry_and_boundary_counts(self, tmp_path):
         graph = chung_lu_undirected(400, 1_600, seed=61)
         sharded = _sharded(graph, tmp_path, 4)
-        partition = ShardedPartition(sharded)
-        assert partition.num_workers == 4
-        owners = partition.owners(np.arange(400))
+        owners = sharded.owners(np.arange(400))
         assert owners.shape == (400,)
         assert np.all(np.diff(owners) >= 0)  # contiguous ranges
-        counts = partition.cross_neighbor_counts()
+        assert set(owners.tolist()) == {0, 1, 2, 3}
+        counts = _shard_cross_counts(sharded)
         # Each vertex's cross-neighbor count is bounded by its degree...
         assert np.all(counts <= graph.degrees().astype(np.int64))
+        # ...and matches the owners of its neighbours...
+        heads = graph.heads()
+        crossing = owners[heads] != owners[graph.indices]
+        assert np.array_equal(
+            counts, np.bincount(heads[crossing], minlength=400)
+        )
         # ...and sums to the boundary-table total.
         total = sum(
             sharded.shard(i).boundary_src.size for i in range(4)
         )
         assert counts.sum() == total
-        assert 0.0 <= partition.cross_edge_fraction() <= 1.0
+        fraction = distributed_pkmc(sharded).extras["cross_edge_fraction"]
+        assert fraction == sharded.cross_adjacency_fraction()
+        assert 0.0 <= fraction <= 1.0
