@@ -20,6 +20,7 @@ from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
 from ...flow.maxflow import FlowNetwork
 from ...graph.directed import DirectedGraph
+from ...store.csr import sorted_unique
 from ...core.results import DDSResult
 from .common import st_density
 
@@ -102,8 +103,8 @@ def exact_dds_flow(graph: DirectedGraph, max_vertices: int = 64) -> DDSResult:
     if graph.num_edges == 0:
         raise EmptyGraphError("DDS is undefined on a graph without edges")
     ratios = sorted({a / b for a in range(1, n + 1) for b in range(1, n + 1)})
-    best_s = np.unique(graph.edge_src)
-    best_t = np.unique(graph.edge_dst)
+    best_s = sorted_unique(graph.edge_src)
+    best_t = sorted_unique(graph.edge_dst)
     best_density = st_density(graph, best_s, best_t)
     improved = True
     iterations = 0

@@ -20,6 +20,7 @@ from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
 from ...graph.directed import DirectedGraph
 from ...runtime.simruntime import SimRuntime
+from ...store.csr import sorted_unique
 from ...core.results import DDSResult
 from .common import charge_projected_tasks, charikar_directed_peel_for_ratio
 
@@ -51,7 +52,7 @@ def pfks_dds(
     rounds = n if max_rounds is None else min(n, max_rounds)
     # n geometric ratio candidates covering [1/n, n].
     exponents = np.linspace(-1.0, 1.0, num=max(rounds, 2))
-    ratios = np.unique(np.power(float(n), exponents))
+    ratios = sorted_unique(np.power(float(n), exponents))
     best = (-1.0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     peels = 0
     for ratio in ratios:

@@ -97,7 +97,9 @@ def density_friendly_decomposition(
         best = _conditioned_cut(graph, inner, 0, scale)
         if best is None:
             # No edges left beyond inner: close the chain with the rest.
-            rest = np.setdiff1d(np.arange(n), inner)
+            outside = np.ones(n, dtype=bool)
+            outside[inner] = False
+            rest = np.flatnonzero(outside)
             chain.append((np.sort(np.concatenate([inner, rest])), 0.0))
             break
         while hi - lo > 1:

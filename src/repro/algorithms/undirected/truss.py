@@ -23,6 +23,7 @@ from ...core.results import UDSResult
 from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
 from ...graph.undirected import UndirectedGraph
+from ...store.csr import sorted_unique
 from .common import induced_density
 
 __all__ = ["edge_support", "truss_decomposition", "max_truss_uds"]
@@ -105,7 +106,7 @@ def max_truss_uds(graph: UndirectedGraph) -> UDSResult:
         raise EmptyGraphError("UDS is undefined on a graph without edges")
     truss, k_max = truss_decomposition(graph)
     member_edges = graph.edges()[truss == k_max]
-    vertices = np.unique(member_edges)
+    vertices = sorted_unique(member_edges)
     return UDSResult(
         algorithm="MaxTruss",
         vertices=vertices,

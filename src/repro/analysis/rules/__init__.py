@@ -2,7 +2,7 @@
 
 Each rule is a small :class:`~repro.analysis.engine.Rule` visitor with an
 id, severity, and fix hint; ``DEFAULT_RULES`` is the registry the engine
-and the ``repro-lint`` CLI load.  R001–R006 and R013–R015 are
+and the ``repro-lint`` CLI load.  R001–R006 and R013–R016 are
 single-node pattern rules living in this package; R007–R012 are the dataflow
 contract rules from :mod:`repro.analysis.contracts`.  The catalogue,
 with rationale and examples, is documented in
@@ -22,6 +22,7 @@ from .determinism import DeterminismRule
 from .docstrings import PublicDocstringRule
 from .exceptions import ExceptionHygieneRule
 from .float_compare import FloatDensityCompareRule
+from .hash_unique import HashUniqueRule
 from .registry import SolverRegistryRule
 from .shard_access import ShardAccessRule
 from .stream_mutation import StreamMutationRule
@@ -37,11 +38,12 @@ DEFAULT_RULES = (
     BackendDispatchRule,
     ShardAccessRule,
     StreamMutationRule,
+    HashUniqueRule,
 )
 
 
 def rule_range(rules=DEFAULT_RULES) -> str:
-    """The advertised id range of a rule registry, e.g. ``"R001-R015"``."""
+    """The advertised id range of a rule registry, e.g. ``"R001-R016"``."""
     ids = sorted(rule.rule_id for rule in rules)
     if not ids:
         return ""
@@ -55,6 +57,7 @@ __all__ = [
     "BackendDispatchRule",
     "ShardAccessRule",
     "StreamMutationRule",
+    "HashUniqueRule",
     "DeterminismRule",
     "ExceptionHygieneRule",
     "PublicDocstringRule",

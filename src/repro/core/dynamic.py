@@ -46,6 +46,7 @@ from ..graph.undirected import UndirectedGraph
 from ..kernels.density import induced_density
 from ..kernels.frontier import frontier_synchronous_sweep
 from ..kernels.segments import concat_ranges
+from ..store.csr import sorted_unique
 from .results import UDSResult
 
 __all__ = ["DynamicKStarCore"]
@@ -566,7 +567,7 @@ class DynamicKStarCore:
         tails = np.concatenate(pair_tails)
         local_id = np.full(n, -1, dtype=np.int64)
         local_id[region] = np.arange(k, dtype=np.int64)
-        boundary = np.unique(tails[local_id[tails] < 0])
+        boundary = sorted_unique(tails[local_id[tails] < 0])
         local_id[boundary] = k + np.arange(boundary.size, dtype=np.int64)
         local_n = k + int(boundary.size)
         local_graph = UndirectedGraph.from_edges(

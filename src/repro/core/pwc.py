@@ -28,6 +28,7 @@ from ..engine.spec import register_solver
 from ..errors import AlgorithmError, EmptyGraphError
 from ..graph.directed import DirectedGraph
 from ..runtime.simruntime import SimRuntime
+from ..store.csr import sorted_unique
 from .results import DDSResult
 from .winduced import WStarResult, winduced_subgraph, wstar_subgraph
 from .xycore import XYCore, xy_core
@@ -132,7 +133,7 @@ def derive_cn_pair_collapse(
         runtime.parfor(float(alive_ids.size))
     # Candidate in-degree values, ascending (Example 4 removes the [6, 2]
     # pairs, i.e. d* = 2, before the true [4, 3] pair).
-    candidates = np.unique(din[dst[at_wstar]])
+    candidates = sorted_unique(din[dst[at_wstar]])
     last_pair: tuple[int, int] | None = None
     for d_star in candidates:
         d_star = int(d_star)

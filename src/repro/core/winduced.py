@@ -30,6 +30,7 @@ from ..errors import EmptyGraphError
 from ..graph.directed import DirectedGraph
 from ..kernels.segments import concat_ranges
 from ..runtime.simruntime import SimRuntime
+from ..store.csr import sorted_unique
 
 __all__ = [
     "edge_weights",
@@ -76,7 +77,7 @@ def _touched_alive_edges(
     out_slots = concat_ranges(out_starts, graph.out_indptr[touched_src + 1] - out_starts)
     in_starts = graph.in_indptr[touched_dst]
     in_slots = concat_ranges(in_starts, graph.in_indptr[touched_dst + 1] - in_starts)
-    candidates = np.unique(
+    candidates = sorted_unique(
         np.concatenate([graph.out_edge_ids[out_slots], graph.in_edge_ids[in_slots]])
     )
     return candidates[alive[candidates]]
@@ -133,7 +134,8 @@ def _cascade(
         np.subtract.at(din, dst[dead_ids], 1)
         if frontier:
             candidates = _touched_alive_edges(
-                graph, alive, np.unique(src[dead_ids]), np.unique(dst[dead_ids])
+                graph, alive, sorted_unique(src[dead_ids]),
+                sorted_unique(dst[dead_ids]),
             )
 
 

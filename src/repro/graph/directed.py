@@ -18,8 +18,9 @@ import numpy as np
 
 from ..errors import GraphError
 from ..store.compact import index_dtype
-from ..store.csr import counting_sort_csr
+from ..store.csr import counting_sort_csr, sorted_unique, unique_pairs
 from ..store.fingerprint import fingerprint_arrays
+from .undirected import UndirectedGraph, _edge_rows
 
 __all__ = ["DirectedGraph"]
 
@@ -101,17 +102,16 @@ class DirectedGraph:
         >>> d.num_edges
         2
         """
-        edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        edge_array = edge_array.astype(np.int64, copy=False).reshape(-1, 2)
+        edge_array = _edge_rows(edges)
         if edge_array.size:
             if edge_array.min() < 0 or edge_array.max() >= num_vertices:
                 raise GraphError(
                     f"edge endpoint out of range for a graph with {num_vertices} vertices"
                 )
-            edge_array = edge_array[edge_array[:, 0] != edge_array[:, 1]]
-            edge_array = np.unique(edge_array, axis=0)
+            keep = edge_array[:, 0] != edge_array[:, 1]
+            edge_array = unique_pairs(
+                num_vertices, edge_array[keep, 0], edge_array[keep, 1]
+            )
         return cls(num_vertices, edge_array[:, 0], edge_array[:, 1])
 
     @classmethod
@@ -274,7 +274,7 @@ class DirectedGraph:
         self, vertices: Iterable[int] | np.ndarray
     ) -> tuple["DirectedGraph", np.ndarray]:
         """Return ``(subgraph, original_ids)`` induced by ``vertices``."""
-        keep = np.unique(
+        keep = sorted_unique(
             np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64)
         )
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):
@@ -311,8 +311,6 @@ class DirectedGraph:
 
     def to_undirected(self) -> "UndirectedGraph":
         """Return the underlying undirected graph (edge directions erased)."""
-        from .undirected import UndirectedGraph
-
         return UndirectedGraph.from_edges(self.num_vertices, self.edges())
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphError
+from ..store.csr import unique_pairs
 from .directed import DirectedGraph
 from .undirected import UndirectedGraph
 
@@ -71,11 +72,9 @@ def gnm_random_undirected(
     draw = min(int(m * 1.3) + 16, n * (n - 1) // 2 * 4)
     u = rng.integers(0, n, size=draw)
     v = rng.integers(0, n, size=draw)
-    edges = np.stack([u, v], axis=1)
-    edges = edges[u != v]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    uniq = unique_pairs(n, np.minimum(u, v), np.maximum(u, v))
     return UndirectedGraph.from_edges(n, uniq[:m])
 
 
@@ -91,8 +90,8 @@ def gnm_random_directed(
     draw = min(int(m * 1.3) + 16, n * (n - 1) * 2)
     u = rng.integers(0, n, size=draw)
     v = rng.integers(0, n, size=draw)
-    edges = np.stack([u, v], axis=1)
-    edges = np.unique(edges[u != v], axis=0)
+    keep = u != v
+    edges = unique_pairs(n, u[keep], v[keep])
     rng.shuffle(edges, axis=0)
     return DirectedGraph.from_edges(n, edges[:m])
 
@@ -118,11 +117,9 @@ def chung_lu_undirected(
     draw = int(target_edges * 1.35) + 16
     u = rng.choice(n, size=draw, p=prob)
     v = rng.choice(n, size=draw, p=prob)
-    edges = np.stack([u, v], axis=1)
-    edges = edges[u != v]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    uniq = unique_pairs(n, np.minimum(u, v), np.maximum(u, v))
     rng.shuffle(uniq, axis=0)
     return UndirectedGraph.from_edges(n, uniq[:target_edges])
 
@@ -148,8 +145,8 @@ def chung_lu_directed(
     draw = int(target_edges * 1.35) + 16
     u = rng.choice(n, size=draw, p=out_w / out_w.sum())
     v = rng.choice(n, size=draw, p=in_w / in_w.sum())
-    edges = np.stack([u, v], axis=1)
-    edges = np.unique(edges[u != v], axis=0)
+    keep = u != v
+    edges = unique_pairs(n, u[keep], v[keep])
     rng.shuffle(edges, axis=0)
     return DirectedGraph.from_edges(n, edges[:target_edges])
 

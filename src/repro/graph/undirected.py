@@ -18,36 +18,49 @@ import numpy as np
 
 from ..errors import GraphError
 from ..store.compact import index_dtype
-from ..store.csr import _COMBINED_KEY_MAX_VERTICES, csr_from_sorted_canonical
+from ..store.csr import csr_from_sorted_canonical, sorted_unique, unique_pairs
 from ..store.fingerprint import fingerprint_arrays
 
 __all__ = ["UndirectedGraph"]
 
 
+def _edge_rows(edges: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """Validate ``edges`` as integer ``(m, 2)`` rows; return them as int64.
+
+    Empty input of any dtype or shape is an empty edge list (``[]``
+    arrives as float64).  Anything else must already be an integer
+    array of pairs: casting floats would truncate them and reshaping a
+    wider array would re-chunk its rows into different edges.
+    """
+    edge_array = np.asarray(
+        list(edges) if not isinstance(edges, np.ndarray) else edges
+    )
+    if edge_array.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if not np.issubdtype(edge_array.dtype, np.integer):
+        raise GraphError(
+            f"edge endpoints must be integers, got dtype {edge_array.dtype}"
+        )
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise GraphError(
+            f"edges must be (m, 2) rows of endpoints, got shape "
+            f"{edge_array.shape}"
+        )
+    return edge_array.astype(np.int64, copy=False)
+
+
 def _normalize_edges(n: int, edges: np.ndarray) -> np.ndarray:
     """Return unique, self-loop-free edges as (u, v) rows with u < v."""
     if edges.size == 0:
-        return edges.reshape(0, 2)
+        return edges
     if edges.min() < 0 or edges.max() >= n:
         raise GraphError(
             f"edge endpoint out of range for a graph with {n} vertices"
         )
-    u = np.minimum(edges[:, 0], edges[:, 1]).astype(np.int64, copy=False)
-    v = np.maximum(edges[:, 0], edges[:, 1]).astype(np.int64, copy=False)
+    u = np.minimum(edges[:, 0], edges[:, 1])
+    v = np.maximum(edges[:, 0], edges[:, 1])
     keep = u != v
-    u, v = u[keep], v[keep]
-    if u.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if n <= _COMBINED_KEY_MAX_VERTICES:
-        # Dedup + lex sort through the single combined key u*n + v
-        # (n**2 < 2**63 by the guard) — one int64 sort instead of the
-        # structured-row comparisons of np.unique(axis=0).
-        key = np.unique(u * np.int64(n) + v)
-        canon = np.empty((key.size, 2), dtype=np.int64)
-        np.floor_divide(key, n, out=canon[:, 0])
-        np.subtract(key, canon[:, 0] * np.int64(n), out=canon[:, 1])
-        return canon
-    return np.unique(np.stack([u, v], axis=1), axis=0)
+    return unique_pairs(n, u[keep], v[keep])
 
 
 class UndirectedGraph:
@@ -112,11 +125,7 @@ class UndirectedGraph:
         """
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        edge_array = edge_array.astype(np.int64, copy=False).reshape(-1, 2)
-        canon = _normalize_edges(num_vertices, edge_array)
+        canon = _normalize_edges(num_vertices, _edge_rows(edges))
         return cls._from_canonical_edges(num_vertices, canon)
 
     @classmethod
@@ -125,10 +134,10 @@ class UndirectedGraph:
     ) -> "UndirectedGraph":
         """Build CSR from deduplicated, lex-sorted (u < v) edge rows.
 
-        Every call site hands over ``np.unique(..., axis=0)`` output or a
-        CSR-ordered ``edges()`` slice, so the O(m) counting-sort builder
-        applies (``repro.store.csr``); it verifies sortedness and falls
-        back to the lexsort reference otherwise.
+        Every call site hands over :func:`~repro.store.csr.unique_pairs`
+        output or a CSR-ordered ``edges()`` slice, so the O(m)
+        counting-sort builder applies (``repro.store.csr``); it verifies
+        sortedness and falls back to the lexsort reference otherwise.
         """
         dtype = index_dtype(num_vertices,
                             2 * canon.shape[0] + num_vertices)
@@ -268,15 +277,17 @@ class UndirectedGraph:
         Vertices are relabelled to ``0..k-1``; ``original_ids[i]`` maps the
         new id ``i`` back to its id in this graph.
         """
-        keep = np.unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64))
+        keep = sorted_unique(np.asarray(list(vertices) if not isinstance(vertices, np.ndarray) else vertices, dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):
             raise GraphError("induced vertex id out of range")
         new_id = np.full(self.num_vertices, -1, dtype=np.int64)
         new_id[keep] = np.arange(keep.size)
         heads = self.heads()
         mask = (new_id[heads] >= 0) & (new_id[self.indices] >= 0) & (heads < self.indices)
+        # CSR order through the monotone relabel is already lex-sorted
+        # and duplicate-free.
         canon = np.stack([new_id[heads[mask]], new_id[self.indices[mask]]], axis=1)
-        sub = UndirectedGraph._from_canonical_edges(keep.size, np.unique(canon, axis=0) if canon.size else canon)
+        sub = UndirectedGraph._from_canonical_edges(keep.size, canon)
         return sub, keep
 
     def subgraph_from_edge_mask(self, edge_mask: np.ndarray) -> "UndirectedGraph":
@@ -292,7 +303,7 @@ class UndirectedGraph:
     def relabeled(self, permutation: np.ndarray) -> "UndirectedGraph":
         """Return an isomorphic graph with vertex ``v`` renamed to ``permutation[v]``."""
         perm = np.asarray(permutation, dtype=np.int64)
-        if perm.size != self.num_vertices or np.unique(perm).size != perm.size:
+        if perm.size != self.num_vertices or sorted_unique(perm).size != perm.size:
             raise GraphError("permutation must be a bijection on the vertex set")
         old = self.edges()
         return UndirectedGraph.from_edges(

@@ -6,7 +6,7 @@ counting-sort based:
 
 * :func:`csr_from_sorted_canonical` (undirected) exploits that every
   call site already holds the canonical edge list lex-sorted (it is the
-  output of ``np.unique(..., axis=0)`` or a CSR-ordered ``edges()``
+  output of :func:`unique_pairs` or a CSR-ordered ``edges()``
   view): out-arc slots follow from pure arithmetic on the sorted rows,
   and in-arcs need only one single-key stable ``argsort`` — NumPy's
   radix sort for integer keys, O(m).
@@ -17,6 +17,15 @@ counting-sort based:
 Both produce ``indptr``/``indices`` bit-identical to the lexsort
 reference (kept as :func:`reference_csr_from_canonical` and pinned by
 the equivalence suite in ``tests/store/test_csr_equivalence.py``).
+
+The dedup primitive the containers and the peeling cascades share
+lives here too. A plain ``np.unique`` (no index, inverse or counts)
+goes through a hash table on NumPy 2.x and then sorts its output,
+which at 1M int64 values costs 20-50x one ``np.sort``.
+:func:`sorted_unique` is one sort plus a neighbour-difference mask, and
+:func:`unique_pairs` dedups ``(head, tail)`` rows through the combined
+key ``heads * n + tails``. Lint rule R016 keeps every other
+``np.unique`` out of ``src/repro``.
 """
 
 from __future__ import annotations
@@ -29,11 +38,59 @@ __all__ = [
     "csr_from_sorted_canonical",
     "counting_sort_csr",
     "reference_csr_from_canonical",
+    "sorted_unique",
+    "unique_pairs",
 ]
 
 # Combined-key sorting needs heads * n + tails to fit in int64:
 # n * n < 2**63  =>  n <= isqrt(2**63 - 1).
 _COMBINED_KEY_MAX_VERTICES = 3_037_000_499
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Sorted distinct entries of ``values``, flattened.
+
+    Equal to ``np.unique(values)`` (same values, same dtype) for
+    integers and finite floats, but one ``np.sort`` plus a
+    neighbour-difference mask instead of NumPy's hash-table path.
+
+    >>> sorted_unique([3, 1, 3, 2]).tolist()
+    [1, 2, 3]
+    """
+    flat = np.sort(np.asarray(values), axis=None)
+    if flat.size < 2:
+        return flat
+    first = np.empty(flat.size, dtype=bool)
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    return flat[first]
+
+
+def unique_pairs(num_vertices: int, heads, tails) -> np.ndarray:
+    """Distinct ``(head, tail)`` rows, lex-sorted, as a ``(k, 2)`` int64 array.
+
+    Equal to ``np.unique(np.stack([heads, tails], 1), axis=0)`` for ids
+    in ``0..num_vertices-1``. Sorting the combined key
+    ``heads * n + tails`` orders rows by head, then tail, so one
+    :func:`sorted_unique` over int64 keys replaces NumPy's
+    structured-row sort.
+
+    >>> unique_pairs(3, [2, 0, 2], [1, 1, 1]).tolist()
+    [[0, 1], [2, 1]]
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.int64)
+    if num_vertices > _COMBINED_KEY_MAX_VERTICES:
+        # No graph this large fits in memory, so the slow row sort is a
+        # correctness fallback only.
+        rows = np.stack([heads, tails], axis=1)
+        return np.unique(rows, axis=0)  # repro-lint: disable=R016 (combined key would overflow int64)
+    n = np.int64(num_vertices)
+    key = sorted_unique(heads * n + tails)
+    pairs = np.empty((key.size, 2), dtype=np.int64)
+    np.floor_divide(key, n, out=pairs[:, 0])
+    np.subtract(key, pairs[:, 0] * n, out=pairs[:, 1])
+    return pairs
 
 
 def _sort_key_dtype(max_value: int) -> np.dtype:

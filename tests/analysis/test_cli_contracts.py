@@ -28,7 +28,7 @@ class TestRuleRanges:
     def test_rule_range_is_derived_from_registry(self):
         ids = sorted(rule.rule_id for rule in DEFAULT_RULES)
         assert rule_range() == f"{ids[0]}-{ids[-1]}"
-        assert rule_range() == "R001-R015"
+        assert rule_range() == "R001-R016"
 
     def test_select_range_via_cli(self, tmp_path):
         # R001 violation is invisible when only the contract family runs

@@ -37,6 +37,7 @@ RULE_FIXTURES = [
     # R015 exempts repro/core and repro/stream, so the fixture plants
     # its violations under a repro/serve/ path.
     ("R015", "repro/serve/r015_stream_mutation.py"),
+    ("R016", "r016_hash_unique.py"),
 ]
 
 
@@ -301,3 +302,25 @@ class TestR015StreamMutation:
         # Nothing outside repro/core and repro/stream pokes the
         # maintainer's internals.
         assert LintEngine(select=["R015"]).lint_paths([SRC_ROOT]) == []
+
+
+class TestR016HashUnique:
+    """R016's fixture covers call shapes; the live tree must stay clean."""
+
+    def test_live_tree_is_clean(self):
+        # Only the suppressed overflow fallback inside unique_pairs may
+        # call np.unique without asking for an index/inverse/counts.
+        assert LintEngine(select=["R016"]).lint_paths([SRC_ROOT]) == []
+        suppressed = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if "disable=R016" not in text:
+                continue
+            unsuppressed = text.replace("disable=R016", "")
+            suppressed += [
+                path.relative_to(SRC_ROOT).as_posix()
+                for _ in LintEngine(select=["R016"]).lint_source(
+                    unsuppressed, path=str(path)
+                )
+            ]
+        assert suppressed == ["store/csr.py"]

@@ -12,7 +12,7 @@ from repro.core import (
     wstar_subgraph,
 )
 from repro.errors import EmptyGraphError
-from repro.graph import DirectedGraph, gnm_random_directed
+from repro.graph import DirectedGraph, gnm_random_directed, planted_st_subgraph
 from tests.conftest import FIG3_INDUCE_NUMBERS
 
 
@@ -158,3 +158,34 @@ class TestWStarSubgraph:
         induce, w_star = winduced_decomposition(d)
         assert fast.w_star == w_star
         assert np.array_equal(fast.edge_mask, induce == w_star)
+
+    # The level trace of a seeded graph is deterministic: both frontier
+    # modes must reproduce these level sizes, round counts and
+    # post-prune sizes exactly.
+    PINNED_LEVELS = {
+        "planted-st": dict(
+            w_star=99, rounds=24, size_after_prune=217, size_wstar=152,
+            level_sizes=[(65, 217), (99, 152)],
+        ),
+        "gnm": dict(
+            w_star=20, rounds=45, size_after_prune=1066, size_wstar=801,
+            level_sizes=[(16, 1066), (18, 938), (20, 801)],
+        ),
+    }
+
+    @staticmethod
+    def _pinned_graph(name):
+        if name == "planted-st":
+            return planted_st_subgraph(300, 1500, 12, 14, seed=5)[0]
+        return gnm_random_directed(200, 1200, seed=3)
+
+    @pytest.mark.parametrize("frontier", [True, False], ids=["frontier", "full-scan"])
+    @pytest.mark.parametrize("name", ["planted-st", "gnm"])
+    def test_level_trace_pinned(self, name, frontier):
+        result = wstar_subgraph(self._pinned_graph(name), frontier=frontier)
+        pinned = self.PINNED_LEVELS[name]
+        assert result.level_sizes == pinned["level_sizes"]
+        assert result.rounds == pinned["rounds"]
+        assert result.size_after_prune == pinned["size_after_prune"]
+        assert result.w_star == pinned["w_star"]
+        assert result.size_wstar == pinned["size_wstar"]

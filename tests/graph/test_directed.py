@@ -36,6 +36,24 @@ class TestConstruction:
         with pytest.raises(GraphError):
             DirectedGraph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array([[0.5, 1.7]]),  # would truncate to the arc 0 -> 1
+            np.array([[0, 1, 2], [1, 2, 0]]),  # would re-chunk into a triangle
+            np.array([0, 1, 2]),  # odd-length 1-D
+        ],
+        ids=["float", "three-columns", "odd-1d"],
+    )
+    def test_malformed_edge_array_rejected(self, edges):
+        with pytest.raises(GraphError):
+            DirectedGraph.from_edges(3, edges)
+
+    def test_empty_input_of_any_dtype_is_edgeless(self):
+        for edges in ([], np.empty((0, 3)), np.array([], dtype=np.float32)):
+            d = DirectedGraph.from_edges(3, edges)
+            assert (d.num_vertices, d.num_edges) == (3, 0)
+
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(GraphError):
             DirectedGraph(3, np.array([0]), np.array([1, 2]))

@@ -46,6 +46,24 @@ class TestConstruction:
         with pytest.raises(GraphError):
             UndirectedGraph.from_edges(-1, [])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.array([[0.5, 1.7]]),  # would truncate to the edge (0, 1)
+            np.array([[0, 1, 2], [1, 2, 0]]),  # would re-chunk into a triangle
+            np.array([0, 1, 2]),  # odd-length 1-D
+        ],
+        ids=["float", "three-columns", "odd-1d"],
+    )
+    def test_malformed_edge_array_rejected(self, edges):
+        with pytest.raises(GraphError):
+            UndirectedGraph.from_edges(3, edges)
+
+    def test_empty_input_of_any_dtype_is_edgeless(self):
+        for edges in ([], np.empty((0, 3)), np.array([], dtype=np.float32)):
+            g = UndirectedGraph.from_edges(3, edges)
+            assert (g.num_vertices, g.num_edges) == (3, 0)
+
     def test_invalid_indptr_rejected(self):
         with pytest.raises(GraphError):
             UndirectedGraph(np.array([0, 5]), np.array([1, 0]))

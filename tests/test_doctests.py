@@ -9,6 +9,7 @@ import repro.flow.maxflow
 import repro.graph.builder
 import repro.graph.directed
 import repro.graph.undirected
+import repro.store.csr
 
 MODULES = [
     repro.api,
@@ -16,6 +17,7 @@ MODULES = [
     repro.graph.directed,
     repro.graph.builder,
     repro.flow.maxflow,
+    repro.store.csr,
 ]
 
 
