@@ -23,7 +23,7 @@ from .experiments import (
     run_exp8,
 )
 from .expectations import EXPECTATIONS, Expectation, check_result, expectations_for
-from .kernels import check_regression, render_kernel_report, run_kernel_bench
+from .kernels import render_kernel_report, run_kernel_bench
 from .figures import chart_for, log_bar_chart, scaling_chart
 from .serialization import load_json, result_from_dict, result_to_dict, save_json
 from .harness import RunRecord, format_status, run_cell
@@ -50,7 +50,6 @@ __all__ = [
     "log_bar_chart",
     "scaling_chart",
     "run_kernel_bench",
-    "check_regression",
     "render_kernel_report",
     "EXPECTATIONS",
     "Expectation",

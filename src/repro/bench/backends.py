@@ -25,18 +25,16 @@ sweep counts must be bit-identical across backends (dtype included), and
 one engine run per backend must report identical simulated seconds —
 the cost model is a property of the algorithm, never of the executor.
 
-``run_backend_bench`` returns the ``BENCH_backends.json`` payload;
-``check_regression`` gates on the largest graph's critical-path speedup
-(floor :data:`MULTIPROC_SPEEDUP_FLOOR` at >= 2 workers) plus
-baseline-relative ratios, never raw seconds, so a slower CI host cannot
-fail the gate spuriously.
+``run_backend_bench`` returns the ``BENCH_backends.json`` payload and
+``HARNESS`` registers it with :mod:`repro.bench.gates`, gating the
+largest graph's critical-path speedup (floor
+:data:`MULTIPROC_SPEEDUP_FLOOR` at >= 2 workers).
 """
 
 from __future__ import annotations
 
 import os
 import statistics
-import time
 
 import numpy as np
 
@@ -46,11 +44,12 @@ from ..backends.numpy_backend import NumpyBackend
 from ..engine import ExecutionContext
 from ..engine import run as engine_run
 from ..graph import chung_lu_undirected
+from .gates import FLAG, FLOOR, PIN, RELATIVE, Gate, Harness, alternating_samples
 
 __all__ = [
     "run_backend_bench",
-    "check_regression",
     "render_backend_report",
+    "HARNESS",
     "MULTIPROC_SPEEDUP_FLOOR",
     "BENCH_WORKERS",
 ]
@@ -63,13 +62,6 @@ MULTIPROC_SPEEDUP_FLOOR = 1.5
 #: tasks per sweep shorten the critical path well past the floor on the
 #: 360k-edge replica, and the gate condition only requires >= 2.
 BENCH_WORKERS = 4
-
-#: Relative regression tolerance of the baseline-comparison gate.
-#: Wider than the single-process harnesses' 25%: the multiproc numbers
-#: time-slice a small host's cores, so run-to-run speedup variance is
-#: higher — the absolute :data:`MULTIPROC_SPEEDUP_FLOOR` still owns the
-#: hard requirement.
-DEFAULT_TOLERANCE = 0.35
 
 #: (name, vertices, edges, chung-lu seed) per workload, smallest first.
 #: The *last* entry is the gated one.
@@ -92,44 +84,34 @@ def _converge(backend, graph) -> tuple[np.ndarray, int]:
         h = new_h
 
 
-def _time_numpy(backend, graph, repeats: int) -> float:
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
-        _converge(backend, graph)
-        samples.append(time.perf_counter() - started)  # repro-lint: disable=R001 (real wall-clock measurement)
-    return statistics.median(samples)
+def _time_legs(numpy_backend, multiproc: MultiprocBackend, graph, repeats: int):
+    """Median numpy seconds and the multiproc timing block of one convergence."""
 
+    def _numpy_leg() -> None:
+        _converge(numpy_backend, graph)
 
-def _time_multiproc(backend: MultiprocBackend, graph, repeats: int) -> dict:
-    """Median elapsed / critical-path seconds of one convergence run.
+    def _multiproc_leg() -> dict:
+        multiproc.reset_perf()
+        _converge(multiproc, graph)
+        return multiproc.perf_snapshot()
 
-    One untimed warm-up run first: it spawns the pool, publishes the
-    graph into shared memory and fills the per-range scratch caches —
-    one-time costs the steady-state solvers never pay per sweep.
-    """
-    _converge(backend, graph)
-    elapsed_samples, critical_samples, snapshot = [], [], None
-    for _ in range(repeats):
-        backend.reset_perf()
-        started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
-        _converge(backend, graph)
-        elapsed = time.perf_counter() - started  # repro-lint: disable=R001 (real wall-clock measurement)
-        snapshot = backend.perf_snapshot()
-        elapsed_samples.append(elapsed)
+    numpy_samples, multi_samples = alternating_samples(
+        [_numpy_leg, _multiproc_leg], repeats
+    )
+    snapshot = multi_samples[-1][1]
+    multi = {
+        "elapsed_s": statistics.median(s for s, _ in multi_samples),
         # Whole-run critical path: parent-side time outside the dispatch
         # is serial either way, so swap the dispatched elapsed for the
         # dispatched critical path and keep the rest.
-        critical_samples.append(
-            elapsed - snapshot["elapsed_s"] + snapshot["critical_s"]
-        )
-    return {
-        "elapsed_s": statistics.median(elapsed_samples),
-        "critical_path_s": statistics.median(critical_samples),
+        "critical_path_s": statistics.median(
+            s - snap["elapsed_s"] + snap["critical_s"] for s, snap in multi_samples
+        ),
         "dispatched_calls": snapshot["dispatched_calls"],
         "inline_calls": snapshot["inline_calls"],
         "tasks": snapshot["tasks"],
     }
+    return statistics.median(s for s, _ in numpy_samples), multi
 
 
 def _simulated_invariance(backends: list[str]) -> dict:
@@ -180,8 +162,7 @@ def run_backend_bench(
                     f"(numpy {sweeps_numpy}, multiproc {sweeps_multi})"
                 )
 
-            numpy_s = _time_numpy(numpy_backend, graph, repeats)
-            multi = _time_multiproc(multiproc, graph, repeats)
+            numpy_s, multi = _time_legs(numpy_backend, multiproc, graph, repeats)
             results.append({
                 "name": name,
                 "num_vertices": num_vertices,
@@ -212,70 +193,6 @@ def run_backend_bench(
     }
 
 
-def check_regression(
-    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable failures (empty means the gate
-    passes).  Three families of checks:
-
-    * the acceptance floor — on the largest workload, multiproc at
-      >= 2 workers must beat numpy by :data:`MULTIPROC_SPEEDUP_FLOOR`
-      on the critical-path clock;
-    * equivalence and simulated-seconds invariance flags must hold;
-    * baseline-relative speedup *ratios* (host-robust) must not regress
-      beyond ``tolerance``.
-    """
-    failures: list[str] = []
-    bound = 1.0 + tolerance
-
-    workers = current["host"]["workers"]
-    if workers < 2:
-        failures.append(
-            f"bench ran multiproc with {workers} worker(s); the gate "
-            "requires >= 2"
-        )
-    largest = current["workloads"][-1]
-    speedup = largest["multiproc"]["speedup_critical"]
-    if speedup < MULTIPROC_SPEEDUP_FLOOR:
-        failures.append(
-            f"{largest['name']}: multiproc critical-path speedup "
-            f"{speedup:.2f}x is below the {MULTIPROC_SPEEDUP_FLOOR:.1f}x "
-            "acceptance floor"
-        )
-
-    for workload in current["workloads"]:
-        if not workload.get("equivalent"):
-            failures.append(
-                f"{workload['name']}: backends did not produce "
-                "bit-identical results"
-            )
-    if not current["simulated_seconds"].get("invariant"):
-        failures.append("simulated seconds are not backend-invariant")
-
-    # Baseline-relative ratio check on the gated workload only: the
-    # small/medium entries are informational (tens of milliseconds of
-    # numpy work, where one CPU-frequency excursion swings the ratio
-    # past any reasonable tolerance), and the floor above already owns
-    # the absolute requirement.
-    base_largest = baseline["workloads"][-1]
-    if base_largest["name"] != largest["name"]:
-        failures.append(
-            f"gated workload changed: current {largest['name']!r} vs "
-            f"baseline {base_largest['name']!r}"
-        )
-    else:
-        base_speed = base_largest["multiproc"]["speedup_critical"]
-        if speedup < base_speed / bound:
-            failures.append(
-                f"{largest['name']}: multiproc critical-path speedup "
-                f"regressed: {speedup:.2f}x vs baseline {base_speed:.2f}x "
-                f"(tolerance {tolerance:.0%})"
-            )
-    return failures
-
-
 def render_backend_report(payload: dict) -> str:
     """Readable summary of a backend-bench payload."""
     host = payload["host"]
@@ -300,3 +217,28 @@ def render_backend_report(payload: dict) -> str:
     pairs = " | ".join(f"{name} {value:.4g}s" for name, value in sorted(sim.items()))
     lines.append(f"  simulated seconds (pkmc, backend-invariant): {pairs}")
     return "\n".join(lines)
+
+
+HARNESS = Harness(
+    # Tolerance wider than the single-process harnesses' 25%: the
+    # multiproc numbers time-slice a small host's cores, so run-to-run
+    # speedup variance is higher; the absolute floor owns the hard
+    # requirement.
+    "backends", run_backend_bench, render_backend_report, tolerance=0.35, gates=(
+        Gate(FLOOR, "host.workers", "bench ran multiproc with too few workers", floor=2),
+        Gate(FLOOR, "workloads.-1.multiproc.speedup_critical",
+             "largest workload's multiproc critical-path speedup is below the "
+             "acceptance floor", floor=MULTIPROC_SPEEDUP_FLOOR),
+        Gate(FLAG, "workloads.*.equivalent",
+             "workload {key}: backends did not produce bit-identical results"),
+        Gate(FLAG, "simulated_seconds.invariant",
+             "simulated seconds are not backend-invariant"),
+        # Only the gated (largest) workload is compared with the baseline:
+        # the small/medium entries are tens of milliseconds of numpy work,
+        # where one CPU-frequency excursion swings the ratio past any
+        # reasonable tolerance.
+        Gate(PIN, "workloads.-1.name", "gated workload changed"),
+        Gate(RELATIVE, "workloads.-1.multiproc.speedup_critical",
+             "largest workload's multiproc critical-path speedup regressed"),
+    ),
+)

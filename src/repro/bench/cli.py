@@ -12,11 +12,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
 
 from .experiments import ALL_EXPERIMENTS
+from .gates import NAMES, harness
 
 __all__ = ["main"]
 
@@ -30,17 +32,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "replicas."
         ),
     )
+    harnesses = ", ".join(repr(name) for name in NAMES)
     parser.add_argument(
         "experiments",
         nargs="*",
         help=(
-            "experiment ids (exp1..exp8), 'kernels' (the kernel-layer "
-            "bench-regression harness), 'store' (the storage-layer "
-            "harness), 'backends' (the array-backend harness), 'serve' "
-            "(the query-service traffic-replay harness), 'shard' (the "
-            "sharded out-of-core engine harness), 'stream' (the "
-            "incremental streaming-maintenance harness) or 'all'; "
-            "default: all"
+            f"experiment ids (exp1..exp8), a bench-regression harness "
+            f"({harnesses}) or 'all'; default: all"
         ),
     )
     parser.add_argument(
@@ -55,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output",
         type=Path,
         default=None,
-        help="directory to also write one <exp>.txt per experiment",
+        help=(
+            "directory to also write one <exp>.txt per experiment, or a "
+            "harness's fresh BENCH_<name>.json (also under --check)"
+        ),
     )
     parser.add_argument(
         "--json",
@@ -75,11 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
         const=_CHECK_DEFAULT,
         metavar="BASELINE_JSON",
         help=(
-            "with 'kernels', 'store', 'backends', 'serve', 'shard' or "
-            "'stream': compare the fresh run "
-            "against the committed BENCH_*.json baseline and exit non-zero "
-            "on regression; with 'all', run every harness against its "
-            "committed baseline (bare --check uses the default file names)"
+            "with a harness: compare the fresh run against the committed "
+            "BENCH_<name>.json baseline and exit non-zero on regression; "
+            "with 'all', run every harness against its committed baseline "
+            "(bare --check uses the default file names)"
         ),
     )
     return parser
@@ -90,101 +90,36 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHECK_DEFAULT = Path("__default_baseline__")
 
 
-def _run_harness(args, label: str, run, check, render, baseline_name: str) -> int:
-    """Run one bench harness; write or check its ``BENCH_*.json``."""
-    import json
-
-    payload = run()
-    print(render(payload))
+def _run_harness(args, name: str) -> int:
+    """Run one bench harness; write and/or check its ``BENCH_<name>.json``."""
+    entry = harness(name)
+    baseline = None
     if args.check is not None:
         baseline_path = (
-            Path(baseline_name) if args.check == _CHECK_DEFAULT else args.check
+            Path(entry.baseline) if args.check == _CHECK_DEFAULT else args.check
         )
-        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        failures = check(payload, baseline)
-        for failure in failures:
-            print(f"  [FAIL] {failure}")
-        if failures:
-            return 1
-        print(f"  [PASS] no {label} regression vs {baseline_path}")
+        try:
+            baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
+            return 2
+    payload = entry.run()
+    print(entry.render(payload))
+    if args.check is None or args.output is not None:
+        output_dir = args.output if args.output is not None else Path(".")
+        output_dir.mkdir(parents=True, exist_ok=True)
+        target = output_dir / entry.baseline
+        target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"[{name} bench written to {target}]")
+    if baseline is None:
         return 0
-    output_dir = args.output if args.output is not None else Path(".")
-    output_dir.mkdir(parents=True, exist_ok=True)
-    target = output_dir / baseline_name
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"[{label} bench written to {target}]")
+    failures = entry.check(payload, baseline)
+    for failure in failures:
+        print(f"  [FAIL] {failure}")
+    if failures:
+        return 1
+    print(f"  [PASS] no {name} regression vs {baseline_path}")
     return 0
-
-
-def _run_kernels(args) -> int:
-    """Run the kernel bench; write or check ``BENCH_kernels.json``."""
-    from .kernels import check_regression, render_kernel_report, run_kernel_bench
-
-    return _run_harness(
-        args, "kernel", run_kernel_bench, check_regression,
-        render_kernel_report, "BENCH_kernels.json",
-    )
-
-
-def _run_store(args) -> int:
-    """Run the storage bench; write or check ``BENCH_store.json``."""
-    from .store import check_regression, render_store_report, run_store_bench
-
-    return _run_harness(
-        args, "store", run_store_bench, check_regression,
-        render_store_report, "BENCH_store.json",
-    )
-
-
-def _run_backends(args) -> int:
-    """Run the backend bench; write or check ``BENCH_backends.json``."""
-    from .backends import check_regression, render_backend_report, run_backend_bench
-
-    return _run_harness(
-        args, "backends", run_backend_bench, check_regression,
-        render_backend_report, "BENCH_backends.json",
-    )
-
-
-def _run_serve(args) -> int:
-    """Run the serving bench; write or check ``BENCH_serve.json``."""
-    from .serve import check_regression, render_serve_report, run_serve_bench
-
-    return _run_harness(
-        args, "serve", run_serve_bench, check_regression,
-        render_serve_report, "BENCH_serve.json",
-    )
-
-
-def _run_shard(args) -> int:
-    """Run the sharded-engine bench; write or check ``BENCH_shard.json``."""
-    from .shard import check_regression, render_shard_report, run_shard_bench
-
-    return _run_harness(
-        args, "shard", run_shard_bench, check_regression,
-        render_shard_report, "BENCH_shard.json",
-    )
-
-
-def _run_stream(args) -> int:
-    """Run the streaming bench; write or check ``BENCH_stream.json``."""
-    from .stream import check_regression, render_stream_report, run_stream_bench
-
-    return _run_harness(
-        args, "stream", run_stream_bench, check_regression,
-        render_stream_report, "BENCH_stream.json",
-    )
-
-
-#: The bench-regression harnesses, in the order ``all --check`` runs them.
-_HARNESSES = (
-    ("kernels", _run_kernels),
-    ("store", _run_store),
-    ("backends", _run_backends),
-    ("serve", _run_serve),
-    ("shard", _run_shard),
-    ("stream", _run_stream),
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -215,17 +150,18 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
+        output = [] if args.output is None else ["--output", str(args.output)]
         worst = 0
-        for label, _ in _HARNESSES:
-            print(f"== {label} ==", flush=True)
+        for name in NAMES:
+            print(f"== {name} ==", flush=True)
             status = subprocess.call(
-                [sys.executable, "-m", "repro.bench.cli", label, "--check"]
+                [sys.executable, "-m", "repro.bench.cli", name, "--check", *output]
             )
             worst = max(worst, status)
         return worst
-    for name, runner in _HARNESSES:
+    for name in NAMES:
         if name in requested:
-            status = runner(args)
+            status = _run_harness(args, name)
             requested = [item for item in requested if item != name]
             if status or not requested:
                 return status

@@ -15,18 +15,13 @@ pre-kernel-layer formulations that are kept in-tree as references:
   :class:`~repro.runtime.simruntime.SimRuntime`, checking that frontier
   accounting never charges more than the full re-scan.
 
-``run_kernel_bench`` returns a JSON-serialisable payload;
-``check_regression`` compares a fresh payload against a committed
-baseline (``BENCH_kernels.json``) using machine-robust criteria: exact
-simulated costs (they are deterministic) with a tolerance for additive
-accounting changes, and wall-clock *speedup ratios* rather than raw
-seconds so a slower CI host cannot fail the gate spuriously.
+``run_kernel_bench`` returns the ``BENCH_kernels.json`` payload and
+``HARNESS`` registers it with :mod:`repro.bench.gates`: simulated costs
+are deterministic and gated with a tolerance for additive accounting
+changes, wall-clock through speedup ratios.
 """
 
 from __future__ import annotations
-
-import statistics
-import time
 
 import numpy as np
 
@@ -36,24 +31,9 @@ from ..graph import chung_lu_directed, chung_lu_undirected
 from ..kernels.frontier import frontier_synchronous_sweep
 from ..kernels.segments import reference_segment_h_index, segment_h_index
 from .config import DEFAULT_THREADS
+from .gates import FLOOR, RELATIVE, Gate, Harness, alternating_medians, ratio
 
-__all__ = ["run_kernel_bench", "check_regression", "render_kernel_report"]
-
-#: Acceptance floor for the convergence-tail speedup (frontier vs lexsort).
-TAIL_SPEEDUP_FLOOR = 2.0
-
-#: Relative regression tolerance of the CI gate.
-DEFAULT_TOLERANCE = 0.25
-
-
-def _median_seconds(fn, repeats: int) -> float:
-    """Median wall-clock seconds of ``fn()`` over ``repeats`` runs."""
-    samples = []
-    for _ in range(repeats):
-        started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
-        fn()
-        samples.append(time.perf_counter() - started)  # repro-lint: disable=R001 (real wall-clock measurement)
-    return statistics.median(samples)
+__all__ = ["run_kernel_bench", "render_kernel_report", "HARNESS"]
 
 
 def _warm_tail_state(graph):
@@ -123,25 +103,19 @@ def run_kernel_bench(
     # --- wall clock: one full sweep, lexsort vs sort-free ----------------
     h0 = undirected.degrees().astype(np.int64)
     neighbor_values = h0[undirected.indices]
-    old_sweep = _median_seconds(
-        lambda: _lexsort_full_sweep(undirected, h0), repeats
-    )
     bins = undirected.hindex_bins()
-    new_sweep = _median_seconds(
-        lambda: segment_h_index(
+
+    def _sort_free_sweep():
+        return segment_h_index(
             undirected.indptr, neighbor_values,
             seg_rows=undirected.heads(), bins=bins,
-        ),
-        repeats,
-    )
-    if not np.array_equal(
-        _lexsort_full_sweep(undirected, h0),
-        segment_h_index(
-            undirected.indptr, neighbor_values,
-            seg_rows=undirected.heads(), bins=bins,
-        ),
-    ):
+        )
+
+    if not np.array_equal(_lexsort_full_sweep(undirected, h0), _sort_free_sweep()):
         raise AssertionError("sort-free sweep disagrees with the lexsort sweep")
+    old_sweep, new_sweep = alternating_medians(
+        [lambda: _lexsort_full_sweep(undirected, h0), _sort_free_sweep], repeats
+    )
 
     # --- wall clock: convergence tail, full lexsort loop vs frontier -----
     h_warm, frontier_warm = _warm_tail_state(undirected)
@@ -149,11 +123,12 @@ def run_kernel_bench(
     new_fix, new_tail_sweeps = _run_tail_frontier(undirected, h_warm, frontier_warm)
     if not np.array_equal(old_fix, new_fix):
         raise AssertionError("frontier tail reaches a different fixed point")
-    old_tail = _median_seconds(
-        lambda: _run_tail_lexsort(undirected, h_warm), repeats
-    )
-    new_tail = _median_seconds(
-        lambda: _run_tail_frontier(undirected, h_warm, frontier_warm), repeats
+    old_tail, new_tail = alternating_medians(
+        [
+            lambda: _run_tail_lexsort(undirected, h_warm),
+            lambda: _run_tail_frontier(undirected, h_warm, frontier_warm),
+        ],
+        repeats,
     )
 
     # --- simulated parallel seconds: frontier on vs off ------------------
@@ -181,65 +156,18 @@ def run_kernel_bench(
             "full_sweep": {
                 "lexsort_s": old_sweep,
                 "sort_free_s": new_sweep,
-                "speedup": old_sweep / new_sweep if new_sweep else float("inf"),
+                "speedup": ratio(old_sweep, new_sweep),
             },
             "tail_sweeps": {
                 "lexsort_full_s": old_tail,
                 "frontier_s": new_tail,
-                "speedup": old_tail / new_tail if new_tail else float("inf"),
+                "speedup": ratio(old_tail, new_tail),
                 "lexsort_sweeps": old_tail_sweeps,
                 "frontier_sweeps": new_tail_sweeps,
             },
         },
         "simulated_seconds": simulated,
     }
-
-
-def check_regression(
-    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable failures (empty means the gate
-    passes).  Wall-clock is compared through speedup *ratios* so the gate
-    is robust to slower or faster CI hosts; simulated seconds are
-    deterministic and compared directly with ``tolerance`` headroom.
-    """
-    failures: list[str] = []
-    bound = 1.0 + tolerance
-
-    tail = current["wall_clock"]["tail_sweeps"]
-    if tail["speedup"] < TAIL_SPEEDUP_FLOOR:
-        failures.append(
-            f"tail frontier speedup {tail['speedup']:.2f}x is below the "
-            f"{TAIL_SPEEDUP_FLOOR:.1f}x acceptance floor"
-        )
-    for section in ("full_sweep", "tail_sweeps"):
-        cur = current["wall_clock"][section]["speedup"]
-        base = baseline["wall_clock"][section]["speedup"]
-        if cur < base / bound:
-            failures.append(
-                f"wall-clock {section} speedup regressed: {cur:.2f}x vs "
-                f"baseline {base:.2f}x (tolerance {tolerance:.0%})"
-            )
-
-    for solver, base_pair in baseline["simulated_seconds"].items():
-        cur_pair = current["simulated_seconds"].get(solver)
-        if cur_pair is None:
-            failures.append(f"solver {solver} missing from current payload")
-            continue
-        if cur_pair["frontier_s"] > cur_pair["full_s"] * (1.0 + 1e-9):
-            failures.append(
-                f"{solver}: frontier simulated cost {cur_pair['frontier_s']:.4g}s "
-                f"exceeds the full re-scan cost {cur_pair['full_s']:.4g}s"
-            )
-        if cur_pair["frontier_s"] > base_pair["frontier_s"] * bound:
-            failures.append(
-                f"{solver}: frontier simulated cost {cur_pair['frontier_s']:.4g}s "
-                f"regressed vs baseline {base_pair['frontier_s']:.4g}s "
-                f"(tolerance {tolerance:.0%})"
-            )
-    return failures
 
 
 def render_kernel_report(payload: dict) -> str:
@@ -268,3 +196,18 @@ def render_kernel_report(payload: dict) -> str:
             f"full {pair['full_s']:.4g}s"
         )
     return "\n".join(lines)
+
+
+HARNESS = Harness(
+    "kernels", run_kernel_bench, render_kernel_report, tolerance=0.25, gates=(
+        Gate(FLOOR, "wall_clock.tail_sweeps.speedup",
+             "tail frontier speedup is below the acceptance floor", floor=2.0),
+        Gate(RELATIVE, "wall_clock.*.speedup", "wall-clock {key} speedup regressed"),
+        Gate(FLOOR, "simulated_seconds.*.full_s",
+             "{key}: frontier simulated cost exceeds the full re-scan cost",
+             floor="frontier_s", slack=1e-9),
+        Gate(RELATIVE, "simulated_seconds.*.frontier_s",
+             "{key}: frontier simulated cost regressed vs baseline",
+             lower_is_better=True),
+    ),
+)

@@ -27,14 +27,13 @@ bound, and that accepted-query p99 latency stays under the structural
 bound ``max_queue_depth x max_single_solve`` — the "no unbounded queue
 growth" half of the serving story.
 
-As in the other harnesses, the committed ``BENCH_serve.json`` gate
-compares speedup *ratios* (and structural booleans), never raw seconds,
-so a slower CI host cannot fail spuriously.
+``HARNESS`` registers the harness with :mod:`repro.bench.gates`: the
+committed ``BENCH_serve.json`` gate compares speedup ratios and
+structural booleans, never raw seconds.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
@@ -45,11 +44,12 @@ from ..graph import chung_lu_undirected
 from ..serve import DsdServer, TenantQuotas, build_query_mix
 from ..serve.workload import QUERY_MIXES
 from .config import DEFAULT_THREADS
+from .gates import FLAG, FLOOR, RELATIVE, Gate, Harness, alternating_medians, ratio
 
 __all__ = [
     "run_serve_bench",
-    "check_regression",
     "render_serve_report",
+    "HARNESS",
     "SERVE_THROUGHPUT_FLOOR",
     "HOT_GRAPH_REUSE_FLOOR",
 ]
@@ -61,8 +61,6 @@ SERVE_THROUGHPUT_FLOOR = 5.0
 #: run (cache hit or coalesced onto a flight) — the reuse the mix exists
 #: to exploit; reported per mix either way.
 HOT_GRAPH_REUSE_FLOOR = 0.5
-#: Relative regression tolerance for baseline-vs-current ratios.
-DEFAULT_TOLERANCE = 0.30
 
 #: Replay graphs, hottest first (rank 0 of the Zipf draw).
 _BENCH_GRAPHS = (
@@ -128,7 +126,7 @@ def _replay_serial(graphs: dict, queries: list, wave: int, threads: int) -> dict
     total = time.perf_counter() - started  # repro-lint: disable=R001 (real wall-clock measurement)
     return {
         "total_s": total,
-        "qps": len(queries) / total if total else float("inf"),
+        "qps": ratio(len(queries), total),
         "p50_s": _percentile(latencies, 50),
         "p99_s": _percentile(latencies, 99),
     }
@@ -158,7 +156,7 @@ def _replay_served(
     answered_without_run = stats.cache_hits + stats.coalesced_queries
     return {
         "total_s": total,
-        "qps": len(queries) / total if total else float("inf"),
+        "qps": ratio(len(queries), total),
         "p50_s": _percentile(latencies, 50),
         "p99_s": _percentile(latencies, 99),
         "solver_runs": stats.solver_runs,
@@ -230,10 +228,12 @@ def run_serve_bench(
 
     # Largest single-query cost observed directly: anchors the overload
     # scenario's structural latency bound in this host's own speed.
-    max_solve_s = 0.0
-    for key in reference:
-        sample = _median_single_solve(graphs, key, threads)
-        max_solve_s = max(max_solve_s, sample)
+    def _solve(dataset: str, solver: str):
+        return lambda: engine_run(
+            solver, graphs[dataset], ExecutionContext(num_threads=threads)
+        )
+
+    max_solve_s = max(alternating_medians([_solve(*key) for key in reference], 3))
 
     mixes = {}
     for mix in QUERY_MIXES:
@@ -250,12 +250,8 @@ def run_serve_bench(
             "num_queries": num_queries,
             "serial": serial,
             "served": served,
-            "throughput_speedup": served["qps"] / serial["qps"]
-            if serial["qps"]
-            else float("inf"),
-            "p99_speedup": serial["p99_s"] / served["p99_s"]
-            if served["p99_s"]
-            else float("inf"),
+            "throughput_speedup": ratio(served["qps"], serial["qps"]),
+            "p99_speedup": ratio(serial["p99_s"], served["p99_s"]),
         }
 
     return {
@@ -274,71 +270,6 @@ def run_serve_bench(
         "mixes": mixes,
         "overload": _overload_scenario(graphs, threads, max_solve_s, seed),
     }
-
-
-def _median_single_solve(graphs: dict, key: tuple, threads: int) -> float:
-    """Median uncached wall-clock seconds of one (dataset, solver) run."""
-    dataset, solver = key
-    samples = []
-    for _ in range(3):
-        started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
-        engine_run(solver, graphs[dataset], ExecutionContext(num_threads=threads))
-        samples.append(time.perf_counter() - started)  # repro-lint: disable=R001 (real wall-clock measurement)
-    return statistics.median(samples)
-
-
-def check_regression(
-    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Compare a fresh payload against the committed baseline.
-
-    Absolute floors first (hot-graph throughput and reuse rate, the
-    overload scenario's structural guarantees), then baseline-relative
-    throughput ratios with ``tolerance`` headroom.
-    """
-    failures: list[str] = []
-    bound = 1.0 + tolerance
-
-    hot = current["mixes"]["hot-graph"]
-    if hot["throughput_speedup"] < SERVE_THROUGHPUT_FLOOR:
-        failures.append(
-            f"hot-graph throughput speedup {hot['throughput_speedup']:.2f}x "
-            f"is below the {SERVE_THROUGHPUT_FLOOR:.1f}x acceptance floor"
-        )
-    if hot["served"]["reuse_rate"] < HOT_GRAPH_REUSE_FLOOR:
-        failures.append(
-            f"hot-graph reuse rate {hot['served']['reuse_rate']:.2f} "
-            f"(cache hits + coalesced) is below the "
-            f"{HOT_GRAPH_REUSE_FLOOR:.2f} floor"
-        )
-    for mix in QUERY_MIXES:
-        cur = current["mixes"][mix]["throughput_speedup"]
-        base = baseline["mixes"][mix]["throughput_speedup"]
-        if cur < base / bound:
-            failures.append(
-                f"{mix} throughput speedup regressed: {cur:.2f}x vs "
-                f"baseline {base:.2f}x (tolerance {tolerance:.0%})"
-            )
-
-    overload = current["overload"]
-    if overload["rejected_queue_full"] <= 0 or overload["rejected_quota"] <= 0:
-        failures.append(
-            "overload scenario must shed structurally (saw "
-            f"{overload['rejected_queue_full']} queue-full and "
-            f"{overload['rejected_quota']} quota rejections)"
-        )
-    if overload["peak_queue_depth"] > overload["max_queue_depth"]:
-        failures.append(
-            f"queue grew past its bound: peak {overload['peak_queue_depth']} "
-            f"vs max {overload['max_queue_depth']}"
-        )
-    if not overload["p99_bounded"]:
-        failures.append(
-            f"overload p99 latency {overload['p99_s']:.3f}s exceeded the "
-            f"structural bound {overload['p99_bound_s']:.3f}s "
-            "(max_queue_depth x max single solve)"
-        )
-    return failures
 
 
 def render_serve_report(payload: dict) -> str:
@@ -368,3 +299,26 @@ def render_serve_report(payload: dict) -> str:
         f"(bound {overload['p99_bound_s'] * 1e3:.1f} ms)"
     )
     return "\n".join(lines)
+
+
+HARNESS = Harness(
+    "serve", run_serve_bench, render_serve_report, tolerance=0.30, gates=(
+        Gate(FLOOR, "mixes.hot-graph.throughput_speedup",
+             "hot-graph throughput speedup is below the acceptance floor",
+             floor=SERVE_THROUGHPUT_FLOOR),
+        Gate(FLOOR, "mixes.hot-graph.served.reuse_rate",
+             "hot-graph reuse rate (cache hits + coalesced) is below its floor",
+             floor=HOT_GRAPH_REUSE_FLOOR),
+        Gate(RELATIVE, "mixes.*.throughput_speedup", "{key} throughput speedup regressed"),
+        *(
+            Gate(FLOOR, f"overload.{counter}",
+                 f"overload scenario must shed structurally ({counter})", floor=1)
+            for counter in ("rejected_queue_full", "rejected_quota")
+        ),
+        Gate(FLOOR, "overload.max_queue_depth", "queue grew past its bound",
+             floor="peak_queue_depth"),
+        Gate(FLAG, "overload.p99_bounded",
+             "overload p99 latency exceeded the structural bound "
+             "(max_queue_depth x max single solve)"),
+    ),
+)

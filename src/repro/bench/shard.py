@@ -21,7 +21,7 @@ three properties the sharded substrate promises:
   two plus overhead must reconstruct the simulated total.
 
 Every gated number is deterministic (seeded graphs, cost model, eviction
-order), so ``check_regression`` pins them exactly against the committed
+order), so ``HARNESS`` pins them exactly against the committed
 ``BENCH_shard.json`` — no tolerances, any drift is a real behaviour
 change.
 """
@@ -35,11 +35,12 @@ import numpy as np
 from ..distributed import distributed_pkmc, distributed_pwc
 from ..graph.generators import chung_lu_directed, chung_lu_undirected
 from ..store.shard import load_sharded, save_sharded
+from .gates import FLAG, PIN, Gate, Harness
 
 __all__ = [
     "run_shard_bench",
-    "check_regression",
     "render_shard_report",
+    "HARNESS",
     "SHARD_COUNT",
     "MEMORY_BUDGET_BYTES",
 ]
@@ -62,32 +63,6 @@ MEMORY_BUDGET_BYTES = 2_621_440
 WORKLOADS = (
     ("undirected", 60_000, 360_000, 11),
     ("directed", 60_000, 360_000, 13),
-)
-
-#: Payload keys whose values must match the baseline bit for bit.
-#: Solver-specific decomposition keys (``k_star`` vs ``w_star`` etc.)
-#: are pinned too when present in both payloads.
-_PINNED_SOLVER_KEYS = (
-    "density",
-    "simulated_seconds",
-    "supersteps",
-    "boundary_messages_bytes",
-    "shard_loads",
-    "evictions",
-    "peak_resident_bytes",
-    "monolithic_bytes",
-)
-
-#: Decomposition keys pinned when the solver block carries them.
-_PINNED_OPTIONAL_KEYS = (
-    "k_star",
-    "core_size",
-    "w_star",
-    "x",
-    "y",
-    "s_size",
-    "t_size",
-    "levels",
 )
 
 
@@ -224,69 +199,6 @@ def run_shard_bench(
     }
 
 
-def _check_solver(name: str, fresh: dict, base: dict) -> list:
-    """Gate one solver block and pin its counters to the baseline."""
-    failures = []
-    if not fresh["identical"]:
-        failures.append(
-            f"{name}: sharded run is not bit-identical to monolithic"
-        )
-    memory = fresh["memory"]
-    if not memory["under_budget"]:
-        failures.append(
-            f"{name}: peak resident {memory['peak_resident_bytes']} B "
-            f"exceeds the {memory['budget_bytes']} B budget"
-        )
-    if not memory["monolithic_exceeds_budget"]:
-        failures.append(
-            f"{name}: monolithic CSR ({memory['monolithic_bytes']} B) fits "
-            f"the {memory['budget_bytes']} B budget — the out-of-core gate "
-            "proves nothing"
-        )
-    if not fresh["cost"]["separated"]:
-        failures.append(
-            f"{name}: superstep accounting does not separate compute from "
-            "boundary exchange"
-        )
-    pinned = list(_PINNED_SOLVER_KEYS)
-    pinned += [k for k in _PINNED_OPTIONAL_KEYS if k in fresh and k in base]
-    for key in pinned:
-        fresh_value = _dig(fresh, key)
-        base_value = _dig(base, key)
-        if fresh_value != base_value:
-            failures.append(
-                f"{name}: {key} drifted from baseline "
-                f"({base_value!r} -> {fresh_value!r})"
-            )
-    return failures
-
-
-def _dig(block: dict, key: str):
-    """Fetch a pinned key from the solver block or its sub-blocks."""
-    for scope in (block, block["memory"], block["cost"]):
-        if key in scope:
-            return scope[key]
-    raise KeyError(key)
-
-
-def check_regression(current: dict, baseline: dict) -> list:
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable failures (empty means the gate
-    passes).  All pinned values are deterministic, so the comparison is
-    exact — there is no timing in this payload and hence no tolerance.
-    """
-    failures = []
-    if current["config"] != baseline["config"]:
-        failures.append(
-            f"bench configuration changed: {current['config']} vs "
-            f"baseline {baseline['config']}"
-        )
-    failures.extend(_check_solver("pkmc-bsp", current["pkmc"], baseline["pkmc"]))
-    failures.extend(_check_solver("pwc-bsp", current["pwc"], baseline["pwc"]))
-    return failures
-
-
 def render_shard_report(payload: dict) -> str:
     """Readable summary of a shard-bench payload."""
     config = payload["config"]
@@ -319,3 +231,34 @@ def render_shard_report(payload: dict) -> str:
             f"(cross-edge frac {cost['cross_edge_fraction']:.3f})"
         )
     return "\n".join(lines)
+
+
+def _solver_gates(block: str, name: str, decomposition: tuple) -> tuple:
+    """Gate rows of one solver block: flags, counter and decomposition pins."""
+    flags = {
+        "identical": "sharded run is not bit-identical to monolithic",
+        "memory.under_budget": "peak resident bytes exceed the budget",
+        "memory.monolithic_exceeds_budget":
+            "monolithic CSR fits the budget; the out-of-core gate proves nothing",
+        "cost.separated":
+            "superstep accounting does not separate compute from boundary exchange",
+    }
+    pinned = (
+        "density", "simulated_seconds", "supersteps", "cost.boundary_messages_bytes",
+        "memory.shard_loads", "memory.evictions", "memory.peak_resident_bytes",
+        "memory.monolithic_bytes", *decomposition,
+    )
+    return (
+        *(Gate(FLAG, f"{block}.{key}", f"{name}: {text}") for key, text in flags.items()),
+        *(Gate(PIN, f"{block}.{key}", f"{name}: {key} drifted from baseline")
+          for key in pinned),
+    )
+
+
+HARNESS = Harness(
+    "shard", run_shard_bench, render_shard_report, gates=(
+        Gate(PIN, "config.*", "bench configuration changed"),
+        *_solver_gates("pkmc", "pkmc-bsp", ("k_star", "core_size")),
+        *_solver_gates("pwc", "pwc-bsp", ("w_star", "x", "y", "s_size", "t_size", "levels")),
+    ),
+)

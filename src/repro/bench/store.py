@@ -20,21 +20,14 @@ pre-storage-layer formulations that are kept in-tree as references:
 * **result memoization** — engine wall clock on a cache hit versus a
   cold solve of the same ``(fingerprint, solver, context)`` key.
 
-``run_store_bench`` returns a JSON-serialisable payload;
-``check_regression`` compares a fresh payload against a committed
-baseline (``BENCH_store.json``).  As in the kernel harness, wall-clock
-comparisons use speedup *ratios* rather than raw seconds so a slower CI
-host cannot fail the gate spuriously, and every fast path is checked
-for exact agreement with its reference before being timed.  The legs
-of each ratio are sampled alternately (:func:`_alternating_medians`),
-so drift in host load lands on both sides of the ratio.
+``run_store_bench`` returns the ``BENCH_store.json`` payload and
+``HARNESS`` registers it with :mod:`repro.bench.gates`.  Every fast path
+is checked for exact agreement with its reference before being timed.
 """
 
 from __future__ import annotations
 
-import statistics
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -55,45 +48,15 @@ from ..store.compact import forced_int64
 from ..store.csr import csr_from_sorted_canonical, reference_csr_from_canonical
 from ..store.memo import ResultCache
 from .config import DEFAULT_THREADS
+from .gates import FLOOR, RELATIVE, Gate, Harness, alternating_medians, ratio
 
-__all__ = ["run_store_bench", "check_regression", "render_store_report"]
-
-#: Acceptance floors from the PR-5 issue (speedups / memory ratio).
-INGEST_SPEEDUP_FLOOR = 2.0
-CSR_SPEEDUP_FLOOR = 2.0
-SNAPSHOT_SPEEDUP_FLOOR = 5.0
-INT32_MEMORY_FLOOR = 1.8
-#: Cache hits run in microseconds, so their speedup ratio is dominated
-#: by timer noise; gate on a generous absolute floor instead of the
-#: baseline-relative comparison used for the other sections.
-CACHE_SPEEDUP_FLOOR = 50.0
-
-#: Relative regression tolerance of the CI gate.
-DEFAULT_TOLERANCE = 0.25
+__all__ = ["run_store_bench", "render_store_report", "HARNESS"]
 
 #: Timed samples per leg, chosen by resampling alternating, warmed
 #: samples of the default workload on a 2-vCPU host: with 3 per leg the
 #: csr_build and snapshot ratios fell below their gates in 4% and 8% of
 #: resampled runs, with 11 per leg in none (any gated ratio in <= 2%).
 DEFAULT_REPEATS = 11
-
-
-def _alternating_medians(legs, repeats: int) -> list[float]:
-    """Median wall-clock seconds of each callable in ``legs``.
-
-    The legs take turns, one timed call each per round, so host drift
-    hits every leg of a ratio alike.  Each timed call follows one
-    untimed call of the same leg: the 1-5 ms legs otherwise measure the
-    caches and allocator state the previous leg left behind.
-    """
-    samples: list[list[float]] = [[] for _ in legs]
-    for _ in range(repeats):
-        for fn, leg_samples in zip(legs, samples):
-            fn()
-            started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
-            fn()
-            leg_samples.append(time.perf_counter() - started)  # repro-lint: disable=R001 (real wall-clock measurement)
-    return [statistics.median(leg_samples) for leg_samples in samples]
 
 
 def _check_graph_equal(fast, strict) -> None:
@@ -138,7 +101,7 @@ def run_store_bench(
             with open(text_path, "r", encoding="utf-8") as stream:
                 read_edges_vectorized(stream, str(text_path))
 
-        parse_strict, parse_fast = _alternating_medians(
+        parse_strict, parse_fast = alternating_medians(
             [_parse_strict, _parse_fast], repeats
         )
 
@@ -157,7 +120,7 @@ def run_store_bench(
             raise AssertionError(
                 "counting-sort CSR disagrees with the lexsort reference"
             )
-        csr_ref, csr_fast = _alternating_medians(
+        csr_ref, csr_fast = alternating_medians(
             [
                 lambda: reference_csr_from_canonical(num_vertices, canon),
                 lambda: csr_from_sorted_canonical(num_vertices, canon),
@@ -174,7 +137,7 @@ def run_store_bench(
             and np.array_equal(reloaded.indices, graph.indices)
         ):
             raise AssertionError("snapshot reload built a different graph")
-        ingest_strict, ingest_fast, snapshot_load = _alternating_medians(
+        ingest_strict, ingest_fast, snapshot_load = alternating_medians(
             [
                 lambda: read_undirected_edgelist(text_path, vectorized=False),
                 lambda: read_undirected_edgelist(text_path, vectorized=True),
@@ -207,10 +170,7 @@ def run_store_bench(
         if result.density != warm.density:  # repro-lint: disable=R004 (cache hits must be bit-identical clones)
             raise AssertionError("memoized rerun changed the density")
 
-    cache_cold, cache_hit = _alternating_medians([_cold, _hit], repeats)
-
-    def _speedup(slow: float, fast: float) -> float:
-        return slow / fast if fast else float("inf")
+    cache_cold, cache_hit = alternating_medians([_cold, _hit], repeats)
 
     return {
         "schema": 1,
@@ -226,84 +186,36 @@ def run_store_bench(
             "ingestion": {
                 "line_by_line_s": parse_strict,
                 "vectorized_s": parse_fast,
-                "speedup": _speedup(parse_strict, parse_fast),
+                "speedup": ratio(parse_strict, parse_fast),
             },
             "end_to_end": {
                 "line_by_line_s": ingest_strict,
                 "vectorized_s": ingest_fast,
-                "speedup": _speedup(ingest_strict, ingest_fast),
+                "speedup": ratio(ingest_strict, ingest_fast),
             },
             "csr_build": {
                 "lexsort_s": csr_ref,
                 "counting_sort_s": csr_fast,
-                "speedup": _speedup(csr_ref, csr_fast),
+                "speedup": ratio(csr_ref, csr_fast),
             },
             "snapshot": {
                 "text_parse_s": ingest_fast,
                 "npz_load_s": snapshot_load,
-                "speedup": _speedup(ingest_fast, snapshot_load),
+                "speedup": ratio(ingest_fast, snapshot_load),
             },
             "cache": {
                 "cold_s": cache_cold,
                 "hit_s": cache_hit,
-                "speedup": _speedup(cache_cold, cache_hit),
+                "speedup": ratio(cache_cold, cache_hit),
             },
         },
         "memory": {
             "int32_bytes": narrow_bytes,
             "int64_bytes": wide_bytes,
-            "ratio": wide_bytes / narrow_bytes if narrow_bytes else float("inf"),
+            "ratio": ratio(wide_bytes, narrow_bytes),
             "index_dtype": str(narrow.indptr.dtype),
         },
     }
-
-
-def check_regression(
-    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable failures (empty means the gate
-    passes): the issue's absolute acceptance floors first, then
-    baseline-relative ratio checks with ``tolerance`` headroom.
-    """
-    failures: list[str] = []
-    bound = 1.0 + tolerance
-    floors = {
-        "ingestion": INGEST_SPEEDUP_FLOOR,
-        "csr_build": CSR_SPEEDUP_FLOOR,
-        "snapshot": SNAPSHOT_SPEEDUP_FLOOR,
-        "cache": CACHE_SPEEDUP_FLOOR,
-    }
-
-    for section, floor in floors.items():
-        speedup = current["wall_clock"][section]["speedup"]
-        if speedup < floor:
-            failures.append(
-                f"{section} speedup {speedup:.2f}x is below the "
-                f"{floor:.1f}x acceptance floor"
-            )
-    for section in ("ingestion", "end_to_end", "csr_build", "snapshot"):
-        cur = current["wall_clock"][section]["speedup"]
-        base = baseline["wall_clock"][section]["speedup"]
-        if cur < base / bound:
-            failures.append(
-                f"wall-clock {section} speedup regressed: {cur:.2f}x vs "
-                f"baseline {base:.2f}x (tolerance {tolerance:.0%})"
-            )
-
-    ratio = current["memory"]["ratio"]
-    if ratio < INT32_MEMORY_FLOOR:
-        failures.append(
-            f"int32 compaction ratio {ratio:.2f}x is below the "
-            f"{INT32_MEMORY_FLOOR:.1f}x acceptance floor"
-        )
-    if current["memory"]["int32_bytes"] > baseline["memory"]["int32_bytes"]:
-        failures.append(
-            f"int32 graph footprint grew: {current['memory']['int32_bytes']} "
-            f"bytes vs baseline {baseline['memory']['int32_bytes']}"
-        )
-    return failures
 
 
 def render_store_report(payload: dict) -> str:
@@ -342,3 +254,28 @@ def render_store_report(payload: dict) -> str:
         f"(dtype {memory['index_dtype']})"
     )
     return "\n".join(lines)
+
+
+HARNESS = Harness(
+    "store", run_store_bench, render_store_report, tolerance=0.25, gates=(
+        # Acceptance floors of the storage layer (speedups, memory ratio).
+        # Cache hits run in microseconds, so that ratio is timer noise: it
+        # gets a generous absolute floor and no baseline-relative row.
+        *(
+            Gate(FLOOR, f"wall_clock.{section}.speedup",
+                 f"{section} speedup is below the acceptance floor", floor=floor)
+            for section, floor in (
+                ("ingestion", 2.0), ("csr_build", 2.0), ("snapshot", 5.0), ("cache", 50.0),
+            )
+        ),
+        *(
+            Gate(RELATIVE, f"wall_clock.{section}.speedup",
+                 f"wall-clock {section} speedup regressed")
+            for section in ("ingestion", "end_to_end", "csr_build", "snapshot")
+        ),
+        Gate(FLOOR, "memory.ratio",
+             "int32 compaction ratio is below the acceptance floor", floor=1.8),
+        Gate(RELATIVE, "memory.int32_bytes", "int32 graph footprint grew",
+             lower_is_better=True, tolerance=0.0),
+    ),
+)

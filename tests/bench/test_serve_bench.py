@@ -5,13 +5,15 @@ import json
 
 import pytest
 
+from repro.bench.gates import harness
 from repro.bench.serve import (
     HOT_GRAPH_REUSE_FLOOR,
     SERVE_THROUGHPUT_FLOOR,
-    check_regression,
     render_serve_report,
     run_serve_bench,
 )
+
+check_regression = harness("serve").check
 
 MIXES = ("hot-graph", "hot-solver", "uniform")
 
@@ -153,6 +155,14 @@ class TestRegressionGate:
         failures = check_regression(current, good_payload())
         assert any("structural bound" in f for f in failures)
 
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_missing_mix_is_a_named_failure(self, mix):
+        current = good_payload()
+        del current["mixes"][mix]
+        failures = check_regression(current, good_payload())
+        assert failures
+        assert all(f"mixes.{mix}." in f and "missing" in f for f in failures)
+
     def test_committed_baseline_is_well_formed(self):
         from pathlib import Path
 
@@ -166,5 +176,3 @@ class TestRegressionGate:
         assert baseline["overload"]["rejected_queue_full"] > 0
         assert baseline["overload"]["rejected_quota"] > 0
         assert baseline["overload"]["p99_bounded"]
-        # And pass the gate against itself.
-        assert check_regression(copy.deepcopy(baseline), baseline) == []

@@ -1,11 +1,13 @@
 """The storage bench harness: payload shape and the regression gate."""
 
-import copy
 import json
 
 import pytest
 
-from repro.bench.store import check_regression, render_store_report, run_store_bench
+from repro.bench.gates import harness
+from repro.bench.store import render_store_report, run_store_bench
+
+check_regression = harness("store").check
 
 WALL_SECTIONS = {"ingestion", "end_to_end", "csr_build", "snapshot", "cache"}
 
@@ -136,5 +138,3 @@ class TestRegressionGate:
         assert wall["snapshot"]["speedup"] >= 5.0
         assert wall["cache"]["speedup"] >= 50.0
         assert baseline["memory"]["ratio"] >= 1.8
-        # And pass the gate against itself.
-        assert check_regression(copy.deepcopy(baseline), baseline) == []

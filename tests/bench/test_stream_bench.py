@@ -6,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.gates import harness
 from repro.bench.stream import (
     _PINNED,
     STREAM_SPEEDUP_FLOOR,
-    check_regression,
     render_stream_report,
     run_stream_bench,
 )
+
+check_regression = harness("stream").check
 
 WORKLOADS = ("small_batch", "large_batch")
 
@@ -26,6 +28,7 @@ def tiny_payload():
     return run_stream_bench(
         seed=0,
         workloads=(("small_batch", 4, 3), ("large_batch", 900, 2)),
+        repeats=2,
     )
 
 
@@ -175,6 +178,19 @@ class TestRegressionGate:
             current["workloads"][label]["speedup"] *= 0.8  # within 35%
         assert check_regression(current, good_payload()) == []
 
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_workload_on_one_side_is_a_named_failure(self, side):
+        current, baseline = good_payload(), good_payload()
+        extra = current if side == "current" else baseline
+        extra["workloads"]["medium_batch"] = copy.deepcopy(
+            extra["workloads"]["small_batch"]
+        )
+        failures = check_regression(current, baseline)
+        assert failures
+        assert all(
+            "workloads.medium_batch." in f and "missing" in f for f in failures
+        )
+
     def test_committed_baseline_is_well_formed(self):
         baseline_path = Path(__file__).parents[2] / "BENCH_stream.json"
         baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
@@ -185,5 +201,3 @@ class TestRegressionGate:
         assert small["speedup"] >= STREAM_SPEEDUP_FLOOR
         assert large["incremental"]["rebuilds"] > 0
         assert all(c["bit_identical"] for c in baseline["workloads"].values())
-        # And pass the gate against itself.
-        assert check_regression(copy.deepcopy(baseline), baseline) == []

@@ -111,3 +111,39 @@ class TestBenchCli:
         # exp6 is a table -> no chart, but the flag must not crash.
         assert bench_main(["exp6", "--charts"]) == 0
         assert "Table 7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_baseline_fails_before_the_bench_runs(
+        self, tmp_path, monkeypatch, capsys, content
+    ):
+        # A bare --check resolves BENCH_shard.json in the working
+        # directory; missing or malformed, it is a usage error.
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "BENCH_shard.json").write_text(content, encoding="utf-8")
+        assert bench_main(["shard", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the harness never ran
+        assert captured.err.count("\n") == 1
+        assert "BENCH_shard.json" in captured.err
+
+    def test_check_also_writes_output(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+        import json
+        from pathlib import Path
+
+        from repro.bench import shard
+        from repro.bench.gates import harness
+
+        baseline_path = Path(__file__).parents[1] / "BENCH_shard.json"
+        payload = json.loads(baseline_path.read_text(encoding="utf-8"))
+        monkeypatch.setattr(
+            shard, "HARNESS", dataclasses.replace(harness("shard"), run=lambda: payload)
+        )
+        out_dir = tmp_path / "artifact"
+        assert bench_main(
+            ["shard", "--check", str(baseline_path), "--output", str(out_dir)]
+        ) == 0
+        assert "[PASS]" in capsys.readouterr().out
+        written = json.loads((out_dir / "BENCH_shard.json").read_text(encoding="utf-8"))
+        assert written == payload
