@@ -25,7 +25,7 @@ SOLVERS = ["pkmc", "charikar"]
 
 def replay_hot_graph_mix() -> None:
     """Most queries hit one graph: coalescing + caching absorb them."""
-    server = DsdServer(graphs=GRAPHS, num_workers=2, cache_ttl=300.0)
+    server = DsdServer(graphs=GRAPHS, cache_ttl=300.0)
     queries = build_query_mix(
         "hot-graph", list(GRAPHS), SOLVERS, num_queries=36, seed=7,
         tenants=("alice", "bob", "carol"),
@@ -36,7 +36,8 @@ def replay_hot_graph_mix() -> None:
             print(
                 f"  {response.query.dataset:>6}/{response.query.solver:<9}"
                 f" {response.query.tenant:<6} density={response.result.density:8.4f}"
-                f" batch={report.batch_size:2d} coalesced={report.coalesced:2d}"
+                f" batch={report.serve.batch_size:2d}"
+                f" coalesced={report.serve.coalesced:2d}"
                 f" cache_hit={report.cache_hit}"
             )
     stats = server.stats

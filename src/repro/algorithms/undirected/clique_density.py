@@ -42,9 +42,8 @@ def triangle_counts(graph: UndirectedGraph) -> np.ndarray:
     """Count, for every vertex, the triangles it participates in."""
     counts = np.zeros(graph.num_vertices, dtype=np.int64)
     sets = _neighbor_sets(graph)
-    # edges().tolist() iterates plain Python ints — the set-intersection
-    # body is inherently per-edge, but the per-row array unboxing of
-    # iter_edges() is not.
+    # edges().tolist() iterates plain Python ints: the set-intersection
+    # body is inherently per-edge, the array unboxing need not be.
     for u, v in graph.edges().tolist():
         small, large = (u, v) if len(sets[u]) <= len(sets[v]) else (v, u)
         for w in sets[small]:

@@ -1,10 +1,11 @@
 """R012: ``RunReport`` is engine-owned — nobody else writes it.
 
 Every solver result carries a ``report`` attached by
-``repro.engine.runner`` (``RunReport.from_run``, plus the
-``cache_hit=True`` restamp via ``dataclasses.replace``).  The dataclass
-is frozen, so a direct field write raises at run time — but only on the
-lines a test happens to execute, and dict-valued fields
+``repro.engine.runner`` (``RunReport.from_run``); the one helper that
+rewrites it afterwards is ``repro.engine.report.stamp_report``, which
+the engine's cache-hit path and the serve and stream layers call.  The
+dataclass is frozen, so a direct field write raises at run time — but
+only on the lines a test happens to execute, and dict-valued fields
 (``breakdown``) mutate silently.  R012 makes the ownership boundary
 static: any assignment whose target chain passes through a ``.report``
 attribute — ``x.report = ...``, ``x.report.density = ...``,
@@ -52,8 +53,8 @@ class ReportOwnershipRule(Rule):
     severity = "error"
     fix_hint = (
         "reports are produced by RunReport.from_run inside the engine and "
-        "are read-only everywhere else; derive new values with "
-        "dataclasses.replace inside repro.engine instead of mutating"
+        "are read-only everywhere else; set a layer sub-record through "
+        "repro.engine.report.stamp_report instead of mutating"
     )
 
     def __init__(self, context):

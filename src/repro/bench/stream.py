@@ -184,6 +184,7 @@ def _run_workload(
 
     incremental, rebuild = results["incremental"], results["rebuild"]
     final = check_inc.query()
+    stream = final.report.stream
     return {
         "batch_size": batch_size,
         "num_batches": num_batches,
@@ -196,10 +197,10 @@ def _run_workload(
         "speedup": speedup,
         "final_report": {
             "k_star": final.k_star,
-            "updates_applied": final.report.updates_applied,
-            "affected_vertices": final.report.affected_vertices,
-            "incremental_fraction": final.report.incremental_fraction,
-            "rebuilds": final.report.rebuilds,
+            "updates_applied": stream.updates_applied,
+            "affected_vertices": stream.affected_vertices,
+            "incremental_fraction": stream.incremental_fraction,
+            "rebuilds": stream.rebuilds,
         },
     }
 

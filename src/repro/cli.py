@@ -288,10 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         if report.simulated_seconds:
             print(f"simulated time ({args.threads} threads): "
                   f"{report.simulated_seconds:.6g} s")
-        if report.shards:
-            print(f"shards  : {report.shards}  loads={report.shard_loads}  "
-                  f"peak_resident={report.peak_resident_bytes}B  "
-                  f"boundary_exchange={report.boundary_messages_bytes}B")
+        shard = report.shard
+        if shard is not None:
+            print(f"shards  : {shard.shards}  loads={shard.shard_loads}  "
+                  f"peak_resident={shard.peak_resident_bytes}B  "
+                  f"boundary_exchange={shard.boundary_messages_bytes}B")
         if args.sanitize:
             runtime = ctx.runtime
             reports = (

@@ -12,7 +12,8 @@ The three layers every solver run goes through:
   only to solvers whose spec claims the capability;
 * **report** (:mod:`repro.engine.report`): :func:`run` attaches a
   structured :class:`RunReport` (guarantee, sweeps/rounds, simulated
-  seconds, peak frontier, density) to every result.
+  seconds, peak frontier, density) to every result, with optional
+  ``shard``/``serve``/``stream`` sub-records set by :func:`stamp_report`.
 
 Typical use::
 
@@ -31,7 +32,13 @@ from ..store.memo import (
     enable_default_cache,
 )
 from .context import ExecutionContext
-from .report import RunReport, attach_serve_stats, attach_stream_stats
+from .report import (
+    RunReport,
+    ServeRecord,
+    ShardRecord,
+    StreamRecord,
+    stamp_report,
+)
 from .runner import registry_table, resolve_solver, run
 from .spec import (
     SolverSpec,
@@ -50,8 +57,10 @@ __all__ = [
     "enable_default_cache",
     "disable_default_cache",
     "RunReport",
-    "attach_serve_stats",
-    "attach_stream_stats",
+    "ShardRecord",
+    "ServeRecord",
+    "StreamRecord",
+    "stamp_report",
     "SolverSpec",
     "MethodsView",
     "run",

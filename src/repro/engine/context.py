@@ -11,8 +11,8 @@ declares the matching capability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..runtime.simruntime import SimRuntime
 
@@ -33,18 +33,16 @@ class ExecutionContext:
     an explicitly supplied :class:`~repro.runtime.simruntime.SimRuntime`
     is always respected.  ``frontier=None`` means "solver default";
     ``seed`` reaches only solvers declaring ``supports_seed``;
-    ``cluster_config`` reaches only the BSP ports.  ``extras`` is a
-    free-form metrics sink call sites may use to stash run annotations.
-    ``cache`` opts the run into result memoization
-    (:mod:`repro.store.memo`): hits are served without re-executing the
-    solver, keyed on the graph fingerprint plus every behavior-relevant
-    context field; when unset, the process-wide default cache (if any)
-    applies.  ``backend`` selects the array backend
-    (:mod:`repro.backends`) the solver's kernels execute on for the
-    duration of the run — ``None`` defers to the ``REPRO_BACKEND``
-    environment variable, then the numpy default.  Outputs are
-    bit-identical whichever backend runs, so the field only affects
-    wall-clock (and is recorded in the
+    ``cluster_config`` reaches only the BSP ports.  ``cache`` opts the
+    run into result memoization (:mod:`repro.store.memo`): hits are
+    served without re-executing the solver, keyed on the graph
+    fingerprint plus every behavior-relevant context field; when unset,
+    the process-wide default cache (if any) applies.  ``backend``
+    selects the array backend (:mod:`repro.backends`) the solver's
+    kernels execute on for the duration of the run — ``None`` defers to
+    the ``REPRO_BACKEND`` environment variable, then the numpy default.
+    Outputs are bit-identical whichever backend runs, so the field only
+    affects wall-clock (and is recorded in the
     :class:`~repro.engine.report.RunReport`).
     """
 
@@ -58,7 +56,6 @@ class ExecutionContext:
     cluster_config: "ClusterConfig | None" = None
     cache: "ResultCache | None" = None
     backend: str | None = None
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def ensure_runtime(self) -> SimRuntime:
         """Return the context's runtime, building one on first use."""

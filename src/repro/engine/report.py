@@ -8,44 +8,106 @@ attaches one to every :class:`~repro.core.results.UDSResult` /
 :class:`~repro.core.results.DDSResult` it returns; the construction is a
 pure function of (spec, result, runtime), so a report built from a
 direct solver call with the same runtime is equal to the engine's.
+
+The shard, serve and stream layers each add one optional sub-record
+(:class:`ShardRecord`, :class:`ServeRecord`, :class:`StreamRecord`),
+``None`` outside that layer.  :func:`stamp_report` is the one way code
+outside the engine sets them (lint rule R012).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.simruntime import SimRuntime
     from .spec import SolverSpec
 
-__all__ = ["RunReport", "attach_serve_stats", "attach_stream_stats"]
+__all__ = [
+    "RunReport",
+    "ShardRecord",
+    "ServeRecord",
+    "StreamRecord",
+    "stamp_report",
+]
 
 
-def _shard_fields(result: Any, graph: Any) -> dict[str, int]:
-    """Per-shard breakdown for the report, when the run was sharded.
+@dataclass(frozen=True)
+class ShardRecord:
+    """What one run over a :class:`~repro.store.shard.ShardedGraph` cost.
 
-    Solvers that executed over a :class:`~repro.store.shard.ShardedGraph`
-    stamp their residency/exchange counters into
-    ``result.extras["shard_stats"]``; runs where the engine materialized
-    the monolithic graph for a shard-unaware solver still report the
-    facade's own load counters (with no boundary traffic).  Monolithic
-    runs return no fields, leaving the zero defaults.
+    ``shards`` is the facade's partition count, ``shard_loads`` /
+    ``peak_resident_bytes`` its residency counters for this run, and
+    ``boundary_messages_bytes`` the bytes the BSP cost model moved
+    across shard boundaries (0 when the engine materialized the graph
+    for a shard-unaware solver).
     """
-    stats = None
-    extras = getattr(result, "extras", None)
-    if isinstance(extras, dict):
-        stats = extras.get("shard_stats")
-    if stats is None and hasattr(graph, "num_shards") and hasattr(graph, "stats"):
-        stats = dict(graph.stats())
-    if not isinstance(stats, dict):
-        return {}
-    return {
-        "shards": int(stats.get("shards", 0)),
-        "shard_loads": int(stats.get("shard_loads", 0)),
-        "peak_resident_bytes": int(stats.get("peak_resident_bytes", 0)),
-        "boundary_messages_bytes": int(stats.get("boundary_messages_bytes", 0)),
-    }
+
+    shards: int
+    shard_loads: int
+    peak_resident_bytes: int
+    boundary_messages_bytes: int = 0
+
+    @classmethod
+    def of(cls, result: Any, graph: Any) -> "ShardRecord | None":
+        """The record of a sharded run, else ``None``.
+
+        Solvers that executed over the facade stamp its counters into
+        ``result.extras["shard_stats"]``; for a materialized run the
+        facade's own counters, reset before materializing, cover it.
+        """
+        stats = (getattr(result, "extras", None) or {}).get("shard_stats")
+        if stats is None and hasattr(graph, "num_shards") and hasattr(graph, "stats"):
+            stats = graph.stats()
+        if not isinstance(stats, dict):
+            return None
+        return cls(**{f.name: int(stats.get(f.name, 0)) for f in fields(cls)})
+
+
+@dataclass(frozen=True)
+class ServeRecord:
+    """How :mod:`repro.serve` answered one query.
+
+    ``queue_wait_s`` is how long the query sat in the admission queue
+    before its flight started, ``batch_size`` how many queries shared
+    its graph-fingerprint batch, and ``coalesced`` how many queries the
+    one single-flight computation answered (1 = no duplicate attached).
+    """
+
+    queue_wait_s: float
+    batch_size: int
+    coalesced: int
+
+    def __post_init__(self):
+        if self.queue_wait_s < 0:
+            raise ValueError("queue_wait_s must be non-negative")
+        if self.batch_size < 1 or self.coalesced < 1:
+            raise ValueError("batch_size and coalesced count this query: >= 1")
+
+
+@dataclass(frozen=True)
+class StreamRecord:
+    """The maintenance counters behind one :mod:`repro.stream` answer.
+
+    ``updates_applied`` is how many edge mutations the maintained
+    structure has absorbed so far, ``affected_vertices`` how many
+    vertices all its refreshes re-converged in total (a full rebuild
+    counts all n), ``incremental_fraction`` the fraction of refreshes
+    served by the localized path rather than a rebuild, and
+    ``rebuilds`` the full-rebuild count (fallbacks included).
+    """
+
+    updates_applied: int
+    affected_vertices: int
+    incremental_fraction: float
+    rebuilds: int
+
+    def __post_init__(self):
+        if min(self.updates_applied, self.affected_vertices, self.rebuilds) < 0:
+            raise ValueError("streaming counters must be non-negative")
+        if not 0.0 <= self.incremental_fraction <= 1.0:
+            raise ValueError("incremental_fraction must be within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,34 +129,8 @@ class RunReport:
     (:mod:`repro.backends`) the run's kernels executed on; it affects
     wall-clock only — never results or simulated seconds.
 
-    The shard fields are zero outside sharded runs: ``shards`` is the
-    partition count of the :class:`~repro.store.shard.ShardedGraph` the
-    solver executed over, ``shard_loads`` / ``peak_resident_bytes`` the
-    facade's residency counters for this run, and
-    ``boundary_messages_bytes`` the bytes the BSP cost model moved
-    across shard boundaries.  They come from the solver's
-    ``extras["shard_stats"]`` when present, else from the sharded
-    graph's own counters.
-
-    The serve fields are zero outside :mod:`repro.serve`:
-    ``queue_wait_s`` is how long the query sat in the server's admission
-    queue before its flight started, ``batch_size`` how many queries
-    shared the graph-fingerprint batch that amortised CSR/scratch/
-    backend-segment setup, and ``coalesced`` how many queries were
-    answered by the one single-flight computation this report describes
-    (1 = no duplicate attached). They are stamped through
-    :func:`attach_serve_stats` — reports stay engine-owned (lint rule
-    R012) and the stamping never changes the solver-outcome fields.
-
-    The streaming fields are zero outside :mod:`repro.stream`:
-    ``updates_applied`` is how many edge mutations the maintained
-    structure has absorbed so far, ``affected_vertices`` how many
-    vertices all its refreshes re-converged in total (a full rebuild
-    counts all n), ``incremental_fraction`` the fraction of refreshes
-    served by the localized path rather than a rebuild, and
-    ``rebuilds`` the full-rebuild count (fallbacks included).  They are
-    stamped through :func:`attach_stream_stats`, the streaming
-    counterpart of :func:`attach_serve_stats`.
+    ``shard``, ``serve`` and ``stream`` are the layer sub-records, each
+    ``None`` unless the run went through that layer.
     """
 
     solver: str
@@ -111,18 +147,10 @@ class RunReport:
     graph_memory_bytes: int = 0
     cache_hit: bool = False
     backend: str = "numpy"
-    shards: int = 0
-    shard_loads: int = 0
-    peak_resident_bytes: int = 0
-    boundary_messages_bytes: int = 0
-    queue_wait_s: float = 0.0
-    batch_size: int = 0
-    coalesced: int = 0
-    updates_applied: int = 0
-    affected_vertices: int = 0
-    incremental_fraction: float = 0.0
-    rebuilds: int = 0
     breakdown: dict[str, float] = field(default_factory=dict)
+    shard: ShardRecord | None = None
+    serve: ServeRecord | None = None
+    stream: StreamRecord | None = None
 
     @classmethod
     def from_run(
@@ -144,31 +172,17 @@ class RunReport:
             from ..backends import backend_name
 
             backend = backend_name()
-        graph_memory = (
-            int(graph.memory_bytes())
-            if graph is not None and hasattr(graph, "memory_bytes")
-            else 0
-        )
-        shard_fields = _shard_fields(result, graph)
+        measured: dict[str, Any] = {"simulated_seconds": result.simulated_seconds}
         if runtime is not None:
             metrics = runtime.metrics
-            return cls(
-                solver=spec.name,
-                kind=spec.kind,
-                guarantee=spec.guarantee,
-                cost=spec.cost,
-                density=result.density,
-                iterations=result.iterations,
-                simulated_seconds=runtime.now,
-                num_threads=runtime.num_threads,
-                peak_frontier=metrics.max_parfor_items,
-                parallel_loops=metrics.parallel_loops,
-                peak_memory_bytes=metrics.peak_memory_bytes,
-                graph_memory_bytes=graph_memory,
-                backend=backend,
-                breakdown=metrics.breakdown.as_dict(),
-                **shard_fields,
-            )
+            measured = {
+                "simulated_seconds": runtime.now,
+                "num_threads": runtime.num_threads,
+                "peak_frontier": metrics.max_parfor_items,
+                "parallel_loops": metrics.parallel_loops,
+                "peak_memory_bytes": metrics.peak_memory_bytes,
+                "breakdown": metrics.breakdown.as_dict(),
+            }
         return cls(
             solver=spec.name,
             kind=spec.kind,
@@ -176,115 +190,50 @@ class RunReport:
             cost=spec.cost,
             density=result.density,
             iterations=result.iterations,
-            simulated_seconds=result.simulated_seconds,
-            graph_memory_bytes=graph_memory,
+            graph_memory_bytes=(
+                int(graph.memory_bytes()) if hasattr(graph, "memory_bytes") else 0
+            ),
             backend=backend,
-            **shard_fields,
+            shard=ShardRecord.of(result, graph),
+            **measured,
         )
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-serialisable form (for bench records and CLI output)."""
-        return {
-            "solver": self.solver,
-            "kind": self.kind,
-            "guarantee": self.guarantee,
-            "cost": self.cost,
-            "density": self.density,
-            "iterations": self.iterations,
-            "simulated_seconds": self.simulated_seconds,
-            "num_threads": self.num_threads,
-            "peak_frontier": self.peak_frontier,
-            "parallel_loops": self.parallel_loops,
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "graph_memory_bytes": self.graph_memory_bytes,
-            "cache_hit": self.cache_hit,
-            "backend": self.backend,
-            "shards": self.shards,
-            "shard_loads": self.shard_loads,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "boundary_messages_bytes": self.boundary_messages_bytes,
-            "queue_wait_s": self.queue_wait_s,
-            "batch_size": self.batch_size,
-            "coalesced": self.coalesced,
-            "updates_applied": self.updates_applied,
-            "affected_vertices": self.affected_vertices,
-            "incremental_fraction": self.incremental_fraction,
-            "rebuilds": self.rebuilds,
-            "breakdown": dict(self.breakdown),
-        }
+        return asdict(self)
 
 
-def attach_serve_stats(
-    result: Any,
-    queue_wait_s: float,
-    batch_size: int,
-    coalesced: int,
-) -> Any:
-    """Stamp serving-layer fields onto ``result``'s report, in place.
-
-    The one sanctioned way for :mod:`repro.serve` to annotate a response:
-    reports are engine-owned (lint rule R012 flags ``.report`` writes
-    outside ``repro/engine/``), so the server hands its per-query
-    queue-wait, batch and coalescing numbers to this helper instead of
-    rewriting the frozen dataclass itself.  Only the serve fields change
-    — the solver-outcome fields are untouched, so stripping the serve
-    fields back to their defaults recovers a report equal to what a
-    direct ``engine.run`` produced.  Returns ``result`` for chaining.
-    """
-    if result.report is None:
-        raise ValueError("attach_serve_stats needs an engine-attached report")
-    if queue_wait_s < 0:
-        raise ValueError("queue_wait_s must be non-negative")
-    if batch_size < 1 or coalesced < 1:
-        raise ValueError("batch_size and coalesced count this query: >= 1")
-    from dataclasses import replace
-
-    result.report = replace(
-        result.report,
-        queue_wait_s=queue_wait_s,
-        batch_size=batch_size,
-        coalesced=coalesced,
-    )
-    return result
-
-
-def attach_stream_stats(
+def stamp_report(
     result: Any,
     *,
-    spec: "SolverSpec",
-    updates_applied: int,
-    affected_vertices: int,
-    incremental_fraction: float,
-    rebuilds: int,
+    serve: ServeRecord | None = None,
+    stream: StreamRecord | None = None,
+    cache_hit: bool | None = None,
+    spec: "SolverSpec | None" = None,
     graph: Any = None,
-    cache_hit: bool = False,
 ) -> Any:
-    """Stamp streaming-layer fields onto ``result``'s report, in place.
+    """Set layer fields on ``result``'s report, in place; return ``result``.
 
-    The one sanctioned way for :mod:`repro.stream` to annotate a
-    maintained answer (reports are engine-owned — lint rule R012).
-    Unlike the serving layer, a streaming query never went through
-    ``engine.run`` — the answer comes warm from the maintained
-    structure — so when ``result`` carries no report yet one is built
-    first with :meth:`RunReport.from_run` (pass ``graph`` to record its
-    resident size).  Only the streaming fields and ``cache_hit`` are
-    then replaced; the solver-outcome fields stay whatever the
-    construction produced.  Returns ``result`` for chaining.
+    The one sanctioned way to annotate a report outside its
+    construction: reports are engine-owned (lint rule R012 flags
+    ``.report`` writes outside ``repro/engine/``), so the serve and
+    stream layers — and the engine's own cache-hit path — hand their
+    sub-record or ``cache_hit`` flag to this helper.  Arguments left
+    ``None`` keep their current value, and the solver-outcome fields are
+    never touched, so ``dataclasses.replace(report, serve=None)`` of a
+    served report equals a direct ``engine.run`` report.  A result with
+    no report yet (a streaming answer comes warm from the maintained
+    structure, not from ``engine.run``) first gets one built by
+    :meth:`RunReport.from_run` from ``spec`` (and ``graph``, to record
+    its resident size).
     """
-    if updates_applied < 0 or affected_vertices < 0 or rebuilds < 0:
-        raise ValueError("streaming counters must be non-negative")
-    if not 0.0 <= incremental_fraction <= 1.0:
-        raise ValueError("incremental_fraction must be within [0, 1]")
     if result.report is None:
+        if spec is None:
+            raise ValueError("stamp_report needs spec= to build a missing report")
         result.report = RunReport.from_run(spec, result, graph=graph)
-    from dataclasses import replace
-
+    changes = {"serve": serve, "stream": stream, "cache_hit": cache_hit}
     result.report = replace(
         result.report,
-        cache_hit=cache_hit,
-        updates_applied=updates_applied,
-        affected_vertices=affected_vertices,
-        incremental_fraction=incremental_fraction,
-        rebuilds=rebuilds,
+        **{name: value for name, value in changes.items() if value is not None},
     )
     return result

@@ -12,7 +12,6 @@ toggles are configured in one place.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from ..backends import resolve_backend_name, use_backend
@@ -22,7 +21,7 @@ from ..graph.undirected import UndirectedGraph
 from ..store.memo import get_default_cache, make_cache_key
 from ..store.shard import ShardedGraph
 from .context import ExecutionContext
-from .report import RunReport
+from .report import RunReport, stamp_report
 from .spec import SolverSpec, get_solver, solver_specs
 
 __all__ = ["run", "resolve_solver", "registry_table"]
@@ -107,16 +106,18 @@ def run(
         )
         cached = cache.get(cache_key)
         if cached is not None:
-            cached.report = replace(cached.report, cache_hit=True)
-            return cached
+            return stamp_report(cached, cache_hit=True)
 
     # Shard-aware solvers run their supersteps straight over the facade;
     # for every other solver the engine assembles the monolithic graph
     # (an explicit escape hatch — the budget does not apply to it).  The
     # report and the memo key keep the caller's graph either way, which
-    # is what makes sharded and monolithic runs share cache entries.
+    # is what makes sharded and monolithic runs share cache entries.  The
+    # facade's counters are reset first, as the BSP solvers do, so the
+    # report's shard record covers this run and no earlier one.
     solver_graph = graph
     if isinstance(graph, ShardedGraph) and not spec.supports_shards:
+        graph.reset_stats()
         solver_graph = graph.to_graph()
 
     runtime = None

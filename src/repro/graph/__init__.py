@@ -1,4 +1,4 @@
-"""Graph substrate: CSR graphs, builders, I/O, generators, peeling state.
+"""Graph substrate: CSR graphs, builders, I/O, generators, peeling queue.
 
 This package is self-contained — every other subsystem (the core PKMC/PWC
 algorithms, all baselines, the benchmark harness) builds on these types and
@@ -30,7 +30,7 @@ from .io import (
     save_npz,
     write_edgelist,
 )
-from .peeling import DirectedPeelState, MinDegreeBucketQueue, VertexPeelState
+from .peeling import MinDegreeBucketQueue
 from .sampling import DEFAULT_FRACTIONS, edge_fraction_series, sample_edges
 from .stats import (
     DirectedGraphSummary,
@@ -52,8 +52,6 @@ __all__ = [
     "GraphBuilder",
     "DirectedGraphBuilder",
     "MinDegreeBucketQueue",
-    "VertexPeelState",
-    "DirectedPeelState",
     "read_undirected_edgelist",
     "read_directed_edgelist",
     "edgelist_from_string",

@@ -12,7 +12,7 @@ Edge ids enumerate the rows of :meth:`DirectedGraph.edges`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -181,15 +181,6 @@ class DirectedGraph:
     def edges(self) -> np.ndarray:
         """Return all edges as an (m, 2) array in edge-id order."""
         return np.stack([self._edge_src, self._edge_dst], axis=1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield (u, v) tuples in edge-id order.
-
-        Debugging convenience only: one Python tuple per edge. Hot paths
-        should use the vectorised :meth:`edges` array instead.
-        """
-        for u, v in zip(self._edge_src, self._edge_dst):
-            yield int(u), int(v)
 
     @property
     def edge_src(self) -> np.ndarray:

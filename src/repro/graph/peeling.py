@@ -1,7 +1,5 @@
-"""Shared mutable peeling state used by the serial peeling algorithms.
+"""The bucket queue behind the serial peeling algorithms.
 
-The CSR graphs are immutable, so "removing" a vertex or edge during peeling
-is represented by alive-masks plus incrementally maintained degree arrays.
 :class:`MinDegreeBucketQueue` is the classic Batagelj–Zaversnik bin-sort
 structure giving O(m) full core decomposition and O(m + n) Charikar peeling.
 """
@@ -11,14 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphError
-from .directed import DirectedGraph
-from .undirected import UndirectedGraph
 
-__all__ = [
-    "MinDegreeBucketQueue",
-    "VertexPeelState",
-    "DirectedPeelState",
-]
+__all__ = ["MinDegreeBucketQueue"]
 
 
 class MinDegreeBucketQueue:
@@ -84,125 +76,3 @@ class MinDegreeBucketQueue:
             self._pos[v], self._pos[front_vertex] = bucket_front, pos
         self._bin_start[key] = bucket_front + 1
         self._key[v] = key - 1
-
-
-class VertexPeelState:
-    """Alive-mask + degree tracking for undirected vertex peeling."""
-
-    def __init__(self, graph: UndirectedGraph):
-        self.graph = graph
-        self.alive = np.ones(graph.num_vertices, dtype=bool)
-        self.degree = graph.degrees().copy()
-        self.num_alive_vertices = graph.num_vertices
-        self.num_alive_edges = graph.num_edges
-
-    def remove_vertex(self, v: int) -> int:
-        """Remove ``v``; return the number of edges deleted with it."""
-        if not self.alive[v]:
-            return 0
-        self.alive[v] = False
-        self.num_alive_vertices -= 1
-        removed = 0
-        for u in self.graph.neighbors(v):
-            if self.alive[u]:
-                self.degree[u] -= 1
-                removed += 1
-        self.degree[v] = 0
-        self.num_alive_edges -= removed
-        return removed
-
-    def remove_vertices(self, vertices: np.ndarray) -> int:
-        """Remove a batch of vertices; return the number of edges deleted."""
-        before = self.num_alive_edges
-        for v in np.asarray(vertices).ravel():
-            self.remove_vertex(int(v))
-        return before - self.num_alive_edges
-
-    def alive_vertices(self) -> np.ndarray:
-        """Return the ids of the vertices still alive."""
-        return np.flatnonzero(self.alive)
-
-    def density(self) -> float:
-        """Density |E|/|V| of the remaining subgraph (0 if empty)."""
-        if self.num_alive_vertices == 0:
-            return 0.0
-        return self.num_alive_edges / self.num_alive_vertices
-
-
-class DirectedPeelState:
-    """S/T membership + alive-edge tracking for directed peeling.
-
-    In the DDS setting a vertex may sit in S (as an edge source), in T (as a
-    target), or both.  An edge (u, v) is alive iff ``u in S`` and ``v in T``.
-    ``dout``/``din`` count alive incident edges, i.e. d^+_{H}(u), d^-_{H}(v)
-    of the current (S, T)-induced subgraph H.
-    """
-
-    def __init__(self, graph: DirectedGraph):
-        self.graph = graph
-        self.in_s = np.ones(graph.num_vertices, dtype=bool)
-        self.in_t = np.ones(graph.num_vertices, dtype=bool)
-        self.edge_alive = np.ones(graph.num_edges, dtype=bool)
-        self.dout = graph.out_degrees().copy()
-        self.din = graph.in_degrees().copy()
-        self.num_alive_edges = graph.num_edges
-
-    def remove_from_s(self, u: int) -> int:
-        """Drop ``u`` from S, killing its alive out-edges; return the count."""
-        if not self.in_s[u]:
-            return 0
-        self.in_s[u] = False
-        graph = self.graph
-        removed = 0
-        for slot in range(graph.out_indptr[u], graph.out_indptr[u + 1]):
-            edge_id = graph.out_edge_ids[slot]
-            if self.edge_alive[edge_id]:
-                self.edge_alive[edge_id] = False
-                self.din[graph.out_indices[slot]] -= 1
-                removed += 1
-        self.dout[u] = 0
-        self.num_alive_edges -= removed
-        return removed
-
-    def remove_from_t(self, v: int) -> int:
-        """Drop ``v`` from T, killing its alive in-edges; return the count."""
-        if not self.in_t[v]:
-            return 0
-        self.in_t[v] = False
-        graph = self.graph
-        removed = 0
-        for slot in range(graph.in_indptr[v], graph.in_indptr[v + 1]):
-            edge_id = graph.in_edge_ids[slot]
-            if self.edge_alive[edge_id]:
-                self.edge_alive[edge_id] = False
-                self.dout[graph.in_indices[slot]] -= 1
-                removed += 1
-        self.din[v] = 0
-        self.num_alive_edges -= removed
-        return removed
-
-    def remove_edge(self, edge_id: int) -> bool:
-        """Kill a single edge by id; return True if it was alive."""
-        if not self.edge_alive[edge_id]:
-            return False
-        self.edge_alive[edge_id] = False
-        self.dout[self.graph.edge_src[edge_id]] -= 1
-        self.din[self.graph.edge_dst[edge_id]] -= 1
-        self.num_alive_edges -= 1
-        return True
-
-    def s_vertices(self) -> np.ndarray:
-        """Return S members that still have an alive out-edge."""
-        return np.flatnonzero(self.in_s & (self.dout > 0))
-
-    def t_vertices(self) -> np.ndarray:
-        """Return T members that still have an alive in-edge."""
-        return np.flatnonzero(self.in_t & (self.din > 0))
-
-    def density(self) -> float:
-        """rho(S, T) of the current non-isolated S/T sets (0 if empty)."""
-        s_count = self.s_vertices().size
-        t_count = self.t_vertices().size
-        if s_count == 0 or t_count == 0:
-            return 0.0
-        return self.num_alive_edges / float(np.sqrt(s_count * t_count))

@@ -12,7 +12,7 @@ are collapsed, matching the simple graphs used throughout the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -246,15 +246,6 @@ class UndirectedGraph:
         heads = self.heads()
         mask = heads < self.indices
         return np.stack([heads[mask], self.indices[mask]], axis=1)
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) tuples with u < v.
-
-        Debugging convenience only: one Python tuple per edge. Hot paths
-        should use the vectorised :meth:`edges` array instead.
-        """
-        for u, v in self.edges():
-            yield int(u), int(v)
 
     def density(self) -> float:
         """Return the paper's undirected density rho = |E| / |V|.

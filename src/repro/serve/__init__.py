@@ -12,8 +12,8 @@ shared-memory segments are set up once per batch, and serves repeats
 from a TTL-aware :class:`~repro.store.memo.ResultCache`.  Every
 response is bit-identical to a direct :func:`repro.engine.run` of the
 same query, and carries the engine's
-:class:`~repro.engine.report.RunReport` augmented with
-queue-wait/batch-size/coalesced-count serving fields.
+:class:`~repro.engine.report.RunReport` with its ``serve`` sub-record
+(queue wait, batch size, coalesced count) set.
 
 Typical use::
 
@@ -22,7 +22,7 @@ Typical use::
     server.submit(Query("PT", "pkmc"))
     server.submit(Query("PT", "pkmc", tenant="other"))  # coalesces
     first, second = server.drain()
-    assert second.coalesced == 2
+    assert second.result.report.serve.coalesced == 2
 
 ``repro-bench serve`` replays Zipf-skewed mixes
 (:mod:`repro.serve.workload`) against an unbatched/uncached serial

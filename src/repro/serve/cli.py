@@ -65,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated tenant names assigned round-robin",
     )
     parser.add_argument(
-        "--num-workers", type=int, default=2,
-        help="simulated worker pool size (default: 2)",
-    )
-    parser.add_argument(
         "--max-queue-depth", type=int, default=64,
         help="admission queue bound; beyond it queries are shed (default: 64)",
     )
@@ -109,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.quota_rate is not None:
         quotas = TenantQuotas(rate=args.quota_rate, burst=args.quota_burst)
     server = DsdServer(
-        num_workers=args.num_workers,
         max_queue_depth=args.max_queue_depth,
         cache_entries=args.cache_entries,
         cache_ttl=args.ttl,
@@ -137,9 +132,9 @@ def main(argv: list[str] | None = None) -> int:
                 report = response.result.report
                 print(
                     f"{head} ok      density={response.result.density:.6g} "
-                    f"wait={report.queue_wait_s * 1e3:6.2f}ms "
-                    f"batch={report.batch_size:<3d} "
-                    f"coalesced={report.coalesced:<3d} "
+                    f"wait={report.serve.queue_wait_s * 1e3:6.2f}ms "
+                    f"batch={report.serve.batch_size:<3d} "
+                    f"coalesced={report.serve.coalesced:<3d} "
                     f"cache_hit={report.cache_hit}"
                 )
             else:

@@ -6,9 +6,10 @@ deliberately carries none of the *how* (threads, backend, cache): those
 are server policy, fixed per :class:`~repro.serve.server.DsdServer` so
 that identical queries from different users are identical work and can
 be coalesced.  A :class:`Response` pairs the query with either the
-engine result (report augmented with queue-wait/batch/coalescing fields
-via :func:`repro.engine.report.attach_serve_stats`) or a structured
-rejection mirroring :class:`~repro.errors.ServeRejected`.
+engine result (its report carrying a
+:class:`~repro.engine.report.ServeRecord` stamped through
+:func:`repro.engine.report.stamp_report`) or a structured rejection
+mirroring :class:`~repro.errors.ServeRejected`.
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ class Response:
 
     ``status`` is ``"ok"`` or ``"rejected"``.  For ``"ok"``, ``result``
     is the engine result (bit-identical to a direct ``engine.run`` of
-    the same query) and the serve statistics are mirrored both here and
-    in ``result.report``; ``worker_id`` is the simulated worker the
-    query's batch was scheduled on.  For ``"rejected"``, ``result`` is
-    None and ``reason``/``retry_after_s`` carry the admission-control
-    verdict (see :class:`~repro.errors.ServeRejected`); the serve
-    statistics stay at their zero defaults.  ``latency_s`` is wall-clock
-    submit-to-completion time under the server's clock (0.0 for
-    rejections, which never enter the queue).
+    the same query) and ``result.report.serve`` holds the serve
+    statistics, which :attr:`queue_wait_s`, :attr:`batch_size` and
+    :attr:`coalesced` read.  For ``"rejected"``, ``result`` is None,
+    ``reason``/``retry_after_s`` carry the admission-control verdict
+    (see :class:`~repro.errors.ServeRejected`) and the serve statistics
+    read 0.  ``latency_s`` is wall-clock submit-to-completion time under
+    the server's clock (0.0 for rejections, which never enter the queue).
     """
 
     query: Query
@@ -65,13 +65,28 @@ class Response:
     result: Any = None
     reason: str | None = None
     retry_after_s: float | None = None
-    worker_id: int = -1
-    queue_wait_s: float = 0.0
-    batch_size: int = 0
-    coalesced: int = 0
     latency_s: float = 0.0
 
     @property
     def ok(self) -> bool:
         """True when the query was admitted and served."""
         return self.status == "ok"
+
+    def _serve_stat(self, name: str) -> Any:
+        record = self.result.report.serve if self.result is not None else None
+        return 0 if record is None else getattr(record, name)
+
+    @property
+    def queue_wait_s(self) -> float:
+        """Seconds the query waited for its flight (0 for a rejection)."""
+        return self._serve_stat("queue_wait_s")
+
+    @property
+    def batch_size(self) -> int:
+        """Queries in the query's graph batch (0 for a rejection)."""
+        return self._serve_stat("batch_size")
+
+    @property
+    def coalesced(self) -> int:
+        """Queries its single flight answered (0 for a rejection)."""
+        return self._serve_stat("coalesced")

@@ -21,21 +21,20 @@ Below the coalescing sits the TTL-aware
 :class:`~repro.store.memo.ResultCache`, so repetition *across* drain
 cycles is also near-free.  Concurrency is simulated, in line with the
 library's `SimRuntime` philosophy: one Python process executes batches
-serially, attributing each batch to a worker of the bounded pool
-round-robin — scheduling is deterministic, and all wall-clock
-measurements come from one injectable monotonic clock.
+serially in a deterministic order, and all wall-clock measurements come
+from one injectable monotonic clock.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from ..backends import resolve_backend_name
 from ..datasets.registry import get_spec, load_directed, load_undirected
-from ..engine import ExecutionContext, attach_serve_stats, resolve_solver
+from ..engine import ExecutionContext, ServeRecord, resolve_solver, stamp_report
 from ..engine import run as engine_run
 from ..errors import ServeRejected
 from ..store.memo import ResultCache, clone_result, make_cache_key
@@ -73,19 +72,7 @@ class ServerStats:
 
     def as_dict(self) -> dict[str, int]:
         """JSON-serialisable counter snapshot."""
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "completed": self.completed,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_quota": self.rejected_quota,
-            "solver_runs": self.solver_runs,
-            "cache_hits": self.cache_hits,
-            "coalesced_queries": self.coalesced_queries,
-            "batches": self.batches,
-            "flights": self.flights,
-            "peak_queue_depth": self.peak_queue_depth,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,6 +113,10 @@ class DsdServer:
     ``clock`` is a zero-argument monotonic-seconds callable used for
     every timestamp (queue wait, latency, TTL, quota refill) — inject a
     fake clock for deterministic tests.
+
+    ``num_workers`` is validated (>= 1) and kept as an attribute for
+    callers that size a pool by it, but it changes nothing: batches run
+    serially in one process, and no response records a worker.
     """
 
     def __init__(
@@ -297,11 +288,11 @@ class DsdServer:
 
         One drain cycle: group admitted queries into single-flight
         groups by flight key, group flights into batches by graph
-        fingerprint (ordered by each batch's earliest submission),
-        schedule batches round-robin over the simulated worker pool, and
+        fingerprint (ordered by each batch's earliest submission), and
         run each flight once — leader result via the engine (which may
         itself answer from the TTL cache), follower responses as
-        independent clones.  Every response's report carries its own
+        independent clones.  Every response's report carries a
+        :class:`~repro.engine.report.ServeRecord` with its own
         ``queue_wait_s`` and the flight's ``batch_size``/``coalesced``.
         """
         pending = list(self._queue)
@@ -317,8 +308,7 @@ class DsdServer:
             batches.setdefault(members[0].graph.fingerprint(), []).append(members)
 
         ordered: list[tuple[int, Response]] = []
-        for batch_index, batch_flights in enumerate(batches.values()):
-            worker_id = batch_index % self.num_workers
+        for batch_flights in batches.values():
             batch_size = sum(len(members) for members in batch_flights)
             self._prewarm(batch_flights[0][0].graph)
             self.stats.batches += 1
@@ -331,10 +321,8 @@ class DsdServer:
                 self.stats.coalesced_queries += len(members) - 1
                 for index, item in enumerate(members):
                     answer = result if index == 0 else clone_result(result)
-                    queue_wait = max(0.0, started - item.enqueued_at)
-                    attach_serve_stats(
-                        answer,
-                        queue_wait_s=queue_wait,
+                    serve = ServeRecord(
+                        queue_wait_s=max(0.0, started - item.enqueued_at),
                         batch_size=batch_size,
                         coalesced=len(members),
                     )
@@ -344,11 +332,7 @@ class DsdServer:
                             Response(
                                 query=item.query,
                                 status="ok",
-                                result=answer,
-                                worker_id=worker_id,
-                                queue_wait_s=queue_wait,
-                                batch_size=batch_size,
-                                coalesced=len(members),
+                                result=stamp_report(answer, serve=serve),
                                 latency_s=max(0.0, finished - item.enqueued_at),
                             ),
                         )

@@ -19,7 +19,7 @@ Typical use::
     session = StreamSession.from_graph(load_undirected("PT"))
     session.apply(insertions=[(0, 1)], deletions=[(2, 3)])
     result = session.query()          # warm answer, streaming report
-    print(result.k_star, result.report.updates_applied)
+    print(result.k_star, result.report.stream.updates_applied)
 """
 
 from .session import StreamSession

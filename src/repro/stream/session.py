@@ -9,11 +9,11 @@ the rest of the repo expects:
 * **registry gating** — the session only wraps solvers whose
   :class:`~repro.engine.spec.SolverSpec` declares ``supports_streaming``
   (today: ``pkmc``, whose k*-core answer *is* the maintained state);
-* **reports** — :meth:`query` returns a result carrying a
-  :class:`~repro.engine.report.RunReport` with the streaming fields
-  (``updates_applied`` / ``affected_vertices`` / ``incremental_fraction``
-  / ``rebuilds``) stamped through the engine's sanctioned
-  :func:`~repro.engine.report.attach_stream_stats` helper;
+* **reports** — :meth:`query` returns a result whose
+  :class:`~repro.engine.report.RunReport` carries a
+  :class:`~repro.engine.report.StreamRecord` (``updates_applied`` /
+  ``affected_vertices`` / ``incremental_fraction`` / ``rebuilds``)
+  stamped through the engine's :func:`~repro.engine.report.stamp_report`;
 * **fingerprint-lineage cache invalidation** — with a
   :class:`~repro.store.memo.ResultCache` attached, converged states are
   served from cache keyed by the graph's content fingerprint, and a
@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.dynamic import DynamicKStarCore
 from ..core.results import UDSResult
-from ..engine.report import attach_stream_stats
+from ..engine.report import StreamRecord, stamp_report
 from ..engine.spec import get_solver
 from ..errors import EngineError
 from ..store.memo import ResultCache
@@ -212,15 +212,17 @@ class StreamSession:
             result = tracker.densest_subgraph()
             graph = None
         stats = tracker.stats()
-        return attach_stream_stats(
+        return stamp_report(
             result,
-            spec=self._spec,
-            updates_applied=stats["updates_applied"],
-            affected_vertices=stats["affected_total"],
-            incremental_fraction=self._incremental_fraction(),
-            rebuilds=stats["rebuilds"],
-            graph=graph,
+            stream=StreamRecord(
+                updates_applied=stats["updates_applied"],
+                affected_vertices=stats["affected_total"],
+                incremental_fraction=self._incremental_fraction(),
+                rebuilds=stats["rebuilds"],
+            ),
             cache_hit=cache_hit,
+            spec=self._spec,
+            graph=graph,
         )
 
     # ------------------------------------------------------------------

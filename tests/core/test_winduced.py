@@ -37,7 +37,7 @@ class TestEdgeWeights:
         d = small_random_directed(0, n=10, m=30)
         weights = edge_weights(d)
         dout, din = d.out_degrees(), d.in_degrees()
-        for e, (u, v) in enumerate(d.iter_edges()):
+        for e, (u, v) in enumerate(d.edges().tolist()):
             assert weights[e] == dout[u] * din[v]
 
 

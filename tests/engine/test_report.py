@@ -117,6 +117,10 @@ class TestEverySolverPopulatesReport:
         assert result.report.solver == spec.name
         assert result.report.kind == spec.kind
         assert result.report.density == result.density
+        # A plain run went through no shard, serve or stream layer.
+        assert result.report.shard is None
+        assert result.report.serve is None
+        assert result.report.stream is None
 
     @pytest.mark.parametrize(
         "spec",
@@ -131,6 +135,10 @@ class TestEverySolverPopulatesReport:
         # BSP ports run on the simulated cluster, not a SimRuntime.
         assert result.report.cost == "bsp"
         assert result.report.simulated_seconds == result.simulated_seconds
+        # An in-memory graph: no shard record, and no serve or stream one.
+        assert result.report.shard is None
+        assert result.report.serve is None
+        assert result.report.stream is None
 
     def test_empty_graph_error_propagates_unchanged(self):
         empty = UndirectedGraph.from_edges(0, [])

@@ -1,5 +1,7 @@
 """Engine over ShardedGraph: dispatch, memo-key identity, RunReport."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,19 +107,16 @@ class TestRunReportBreakdown:
     def test_sharded_run_populates_shard_fields(self, undirected_pair):
         _, sharded = undirected_pair
         result = engine_run("pkmc-bsp", sharded, ExecutionContext())
-        report = result.report
-        assert report.shards == 4
-        assert report.shard_loads >= 4
-        assert report.peak_resident_bytes > 0
-        assert report.boundary_messages_bytes > 0
+        shard = result.report.shard
+        assert shard.shards == 4
+        assert shard.shard_loads >= 4
+        assert shard.peak_resident_bytes > 0
+        assert shard.boundary_messages_bytes > 0
 
     def test_monolithic_run_stays_zero(self, undirected_pair):
         graph, _ = undirected_pair
         report = engine_run("pkmc-bsp", graph, ExecutionContext()).report
-        assert report.shards == 0
-        assert report.shard_loads == 0
-        assert report.peak_resident_bytes == 0
-        assert report.boundary_messages_bytes == 0
+        assert report.shard is None
 
     def test_as_dict_carries_the_breakdown(self, undirected_pair):
         _, sharded = undirected_pair
@@ -125,8 +124,9 @@ class TestRunReportBreakdown:
         payload = report.as_dict()
         for key in ("shards", "shard_loads", "peak_resident_bytes",
                     "boundary_messages_bytes"):
-            assert key in payload, key
-        assert payload["shards"] == 4
+            assert key in payload["shard"], key
+        assert payload["shard"]["shards"] == 4
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_materialized_run_reports_facade_stats(self, undirected_pair):
         # A shard-unaware solver still reports the facade's residency
@@ -134,4 +134,19 @@ class TestRunReportBreakdown:
         # shard(), so loads may be zero — but the shard count survives).
         _, sharded = undirected_pair
         report = engine_run("pkmc", sharded, ExecutionContext()).report
-        assert report.shards == 4
+        assert report.shard.shards == 4
+
+    def test_materialized_run_reports_only_its_own_counters(self, tmp_path):
+        # The facade's counters are cumulative; a BSP run before a
+        # shard-unaware one must not leak its loads into the latter's
+        # report.
+        save_sharded(chung_lu_undirected(400, 1600, seed=3), tmp_path, shards=4)
+        sharded = load_sharded(tmp_path)
+        bsp = engine_run("pkmc-bsp", sharded, ExecutionContext()).report
+        assert bsp.shard.shard_loads == 4
+        shard = engine_run("pkmc", sharded, ExecutionContext()).report.shard
+        assert shard.shards == 4
+        assert shard.shard_loads == 0
+        assert shard.boundary_messages_bytes == 0
+        # Nothing was loaded: the peak is what the BSP run left resident.
+        assert shard.peak_resident_bytes == sharded.memory_bytes()

@@ -1,4 +1,4 @@
-"""Unit tests for the bucket queue and peel-state helpers."""
+"""Unit tests for the bucket queue."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph import (
-    DirectedGraph,
-    DirectedPeelState,
-    MinDegreeBucketQueue,
-    UndirectedGraph,
-    VertexPeelState,
-    gnm_random_undirected,
-)
+from repro.graph import MinDegreeBucketQueue
 
 
 class TestBucketQueue:
@@ -62,73 +55,3 @@ class TestBucketQueue:
         queue = MinDegreeBucketQueue(np.array(keys))
         popped = [queue.pop_min()[1] for _ in range(len(keys))]
         assert popped == sorted(keys)
-
-
-class TestVertexPeelState:
-    def test_remove_updates_degrees(self, fig2_graph):
-        state = VertexPeelState(fig2_graph)
-        removed = state.remove_vertex(3)  # hub of the K4 + tail
-        assert removed == 4
-        assert state.degree[0] == 2
-        assert state.num_alive_edges == 6
-
-    def test_double_remove_noop(self, triangle_graph):
-        state = VertexPeelState(triangle_graph)
-        assert state.remove_vertex(0) == 2
-        assert state.remove_vertex(0) == 0
-
-    def test_density_tracking(self, triangle_graph):
-        state = VertexPeelState(triangle_graph)
-        assert state.density() == 1.0
-        state.remove_vertex(0)
-        assert state.density() == pytest.approx(1 / 2)
-
-    def test_remove_batch(self, fig2_graph):
-        state = VertexPeelState(fig2_graph)
-        removed = state.remove_vertices(np.array([4, 5, 6, 7]))
-        assert removed == 4
-        assert state.alive_vertices().tolist() == [0, 1, 2, 3]
-
-    def test_peel_to_empty(self):
-        g = gnm_random_undirected(10, 20, seed=1)
-        state = VertexPeelState(g)
-        state.remove_vertices(np.arange(10))
-        assert state.num_alive_edges == 0
-        assert state.num_alive_vertices == 0
-
-
-class TestDirectedPeelState:
-    def test_remove_from_s_kills_out_edges(self, fig3_graph):
-        state = DirectedPeelState(fig3_graph)
-        removed = state.remove_from_s(1)  # u2 has 5 out-edges
-        assert removed == 5
-        assert state.din[4] == 1
-
-    def test_remove_from_t_kills_in_edges(self, fig3_graph):
-        state = DirectedPeelState(fig3_graph)
-        removed = state.remove_from_t(7)  # v4 has 3 in-edges
-        assert removed == 3
-        assert state.dout[3] == 0
-
-    def test_remove_edge(self, fig3_graph):
-        state = DirectedPeelState(fig3_graph)
-        assert state.remove_edge(0)
-        assert not state.remove_edge(0)
-        assert state.num_alive_edges == fig3_graph.num_edges - 1
-
-    def test_s_and_t_vertices(self, fig3_graph):
-        state = DirectedPeelState(fig3_graph)
-        assert state.s_vertices().tolist() == [0, 1, 2, 3]
-        assert state.t_vertices().tolist() == [4, 5, 6, 7, 8]
-
-    def test_density(self, fig3_graph):
-        state = DirectedPeelState(fig3_graph)
-        expected = 11 / np.sqrt(4 * 5)
-        assert state.density() == pytest.approx(expected)
-
-    def test_vertex_in_both_sides(self):
-        d = DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
-        state = DirectedPeelState(d)
-        state.remove_from_s(1)
-        # vertex 1 still counts on the T side (edge 0 -> 1 alive).
-        assert 1 in state.t_vertices().tolist()

@@ -98,11 +98,6 @@ class TestAccessors:
         assert edges.shape == (10, 2)
         assert np.all(edges[:, 0] < edges[:, 1])
 
-    def test_iter_edges_matches_edges(self, fig2_graph):
-        assert list(fig2_graph.iter_edges()) == [
-            tuple(row) for row in fig2_graph.edges().tolist()
-        ]
-
     def test_density(self, triangle_graph):
         assert triangle_graph.density() == 1.0
 
@@ -187,7 +182,7 @@ class TestProperties:
     @settings(max_examples=20, deadline=None)
     def test_neighbors_symmetric(self, seed):
         g = gnm_random_undirected(15, 30, seed=seed)
-        for u, v in g.iter_edges():
+        for u, v in g.edges().tolist():
             assert v in g.neighbors(u).tolist()
             assert u in g.neighbors(v).tolist()
 

@@ -5,6 +5,9 @@ and, where timing matters, a fake injectable clock — so the suite is
 fast and fully deterministic under any backend.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -58,7 +61,7 @@ class TestSingleFlight:
         expected = engine_run("pkmc", graphs["alpha"], ExecutionContext())
         for response in responses:
             assert response.ok
-            assert response.coalesced == 5
+            assert response.result.report.serve.coalesced == 5
             assert_bit_identical(response.result, expected)
 
     def test_followers_get_independent_clones(self, graphs):
@@ -85,7 +88,7 @@ class TestSingleFlight:
             [Query("alpha", "pkmc", tenant="a"), Query("alpha", "pkmc", tenant="b")]
         )
         assert server.stats.solver_runs == 1
-        assert all(r.coalesced == 2 for r in responses)
+        assert all(r.result.report.serve.coalesced == 2 for r in responses)
 
     def test_uncacheable_params_get_unique_flight_keys(self, graphs):
         server = make_server(graphs)
@@ -99,7 +102,7 @@ class TestSingleFlight:
 
 class TestBatching:
     def test_flights_batched_per_graph(self, graphs):
-        server = make_server(graphs, num_workers=2)
+        server = make_server(graphs)
         responses = server.serve(
             [
                 Query("alpha", "pkmc"),
@@ -112,11 +115,8 @@ class TestBatching:
         alpha = [r for r in responses if r.query.dataset == "alpha"]
         beta = [r for r in responses if r.query.dataset == "beta"]
         # Batch size counts queries (not flights) sharing the graph.
-        assert all(r.batch_size == 2 for r in alpha)
-        assert all(r.batch_size == 2 for r in beta)
-        # One simulated worker per batch, round-robin.
-        assert {r.worker_id for r in alpha} == {0}
-        assert {r.worker_id for r in beta} == {1}
+        assert all(r.result.report.serve.batch_size == 2 for r in alpha)
+        assert all(r.result.report.serve.batch_size == 2 for r in beta)
 
     def test_empty_drain_is_a_noop(self, graphs):
         server = make_server(graphs)
@@ -200,6 +200,8 @@ class TestAdmissionControl:
         assert shed.reason == "queue_full"
         assert shed.retry_after_s == 0.0
         assert shed.result is None
+        # A rejection has no report, so its serve statistics read 0.
+        assert (shed.queue_wait_s, shed.batch_size, shed.coalesced) == (0, 0, 0)
 
 
 class TestValidation:
@@ -235,26 +237,35 @@ class TestReports:
         clock.advance(5.0)
         first, second = server.drain()
         for response in (first, second):
-            report = response.result.report
-            assert report.queue_wait_s == pytest.approx(5.0)
+            serve = response.result.report.serve
+            assert serve.queue_wait_s == pytest.approx(5.0)
             assert response.queue_wait_s == pytest.approx(5.0)
-            assert report.batch_size == 2 == response.batch_size
-            assert report.coalesced == 2 == response.coalesced
+            assert serve.batch_size == 2 == response.batch_size
+            assert serve.coalesced == 2 == response.coalesced
             assert response.latency_s == pytest.approx(5.0)
 
     def test_direct_engine_runs_have_zero_serve_fields(self, graphs):
         result = engine_run("pkmc", graphs["alpha"], ExecutionContext())
-        assert result.report.queue_wait_s == 0.0
-        assert result.report.batch_size == 0
-        assert result.report.coalesced == 0
+        assert result.report.serve is None
 
     def test_report_as_dict_round_trips_serve_fields(self, graphs):
         server = make_server(graphs)
         response, = server.serve([Query("alpha", "pkmc")])
         payload = response.result.report.as_dict()
-        assert payload["batch_size"] == 1
-        assert payload["coalesced"] == 1
-        assert payload["queue_wait_s"] >= 0.0
+        assert payload["serve"]["batch_size"] == 1
+        assert payload["serve"]["coalesced"] == 1
+        assert payload["serve"]["queue_wait_s"] >= 0.0
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_stripped_served_report_equals_direct_run(self, graphs):
+        server = make_server(graphs, num_threads=4, frontier=False)
+        response, = server.serve([Query("alpha", "pkmc")])
+        report = response.result.report
+        assert not report.cache_hit  # the first query misses
+        direct = engine_run(
+            "pkmc", graphs["alpha"], ExecutionContext(num_threads=4, frontier=False)
+        )
+        assert dataclasses.replace(report, serve=None) == direct.report
 
 
 class TestCaching:

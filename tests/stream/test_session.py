@@ -7,6 +7,8 @@ fingerprints this session's graph has occupied; and both refresh modes
 (incremental / rebuild) answer bit-identically over any stream.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,18 +91,22 @@ class TestQueryReports:
         report = result.report
         assert report is not None
         stats = session.stats()
-        assert report.updates_applied == stats["updates_applied"]
-        assert report.affected_vertices == stats["affected_total"]
-        assert report.rebuilds == stats["rebuilds"]
-        assert 0.0 <= report.incremental_fraction <= 1.0
+        assert report.stream.updates_applied == stats["updates_applied"]
+        assert report.stream.affected_vertices == stats["affected_total"]
+        assert report.stream.rebuilds == stats["rebuilds"]
+        assert report.stream.incremental_fraction == stats["incremental_fraction"]
+        assert 0.0 <= report.stream.incremental_fraction <= 1.0
         assert report.cache_hit is False
+        assert report.shard is None and report.serve is None
+        payload = report.as_dict()
+        assert json.loads(json.dumps(payload)) == payload
 
     def test_rebuild_mode_reports_zero_incremental_fraction(self, medium):
         session = StreamSession.from_graph(medium, mode="rebuild")
         session.k_star()
         result = session.query()
-        assert result.report.incremental_fraction == 0.0
-        assert result.report.rebuilds >= 1
+        assert result.report.stream.incremental_fraction == 0.0
+        assert result.report.stream.rebuilds >= 1
         assert session.stats()["incremental_refreshes"] == 0
 
     def test_incremental_mode_uses_localized_refreshes(self, medium):
