@@ -2,10 +2,11 @@
 
 :class:`~repro.core.dynamic.DynamicKStarCore` maintains one invariant
 that everything above it depends on: between refreshes, its ``_h``
-array *is* the core-number fixed point of the edge set in ``_edge_set``
-as patched by the adjacency overlay (``_ov_add``/``_ov_del``) and the
-pending net-op log (``_pending``).  Code that pokes any of those fields
-directly — adding to ``_edge_set`` without logging a pending op,
+array *is* the core-number fixed point of the edge set held as the
+base keys ``_edge_keys`` (with the ``_edge_count`` counter), as patched
+by the adjacency overlay (``_ov_add``/``_ov_del``) and the pending
+net-op log (``_pending``).  Code that pokes any of those fields
+directly — inserting into ``_edge_keys`` without logging a pending op,
 overwriting a slice of ``_h``, clearing the overlay — silently breaks
 the fixed-point invariant, and every later ``k_star()`` /
 ``core_numbers()`` / ``densest_subgraph()`` answer is wrong with no
@@ -33,7 +34,8 @@ __all__ = ["StreamMutationRule"]
 
 #: The maintainer's invariant-bearing fields (see repro/core/dynamic.py).
 _INTERNALS = {
-    "_edge_set",
+    "_edge_keys",
+    "_edge_count",
     "_h",
     "_ov_add",
     "_ov_del",
@@ -80,8 +82,8 @@ class StreamMutationRule(Rule):
     fix_hint = (
         "go through the public mutators (insert_edge/delete_edge, "
         "insert_edges/delete_edges) or repro.stream.StreamSession; direct "
-        "writes to _edge_set/_h/overlay state desynchronize the maintained "
-        "core numbers from the edge set"
+        "writes to _edge_keys/_edge_count/_h/overlay state desynchronize the "
+        "maintained core numbers from the edge set"
     )
 
     def _in_scope(self) -> bool:

@@ -31,10 +31,14 @@ any region exceeds ``region_fraction * n`` — the fallback keeps
 worst-case cost at the rebuild-per-batch baseline.  Adjacency is kept
 as an *overlay* (per-vertex added / deleted neighbour sets) over the
 last materialized CSR, compacted amortizedly, so small batches never
-pay an O(m) CSR rebuild.
+pay an O(m) CSR rebuild.  The edge set itself is held once, as the
+base CSR's sorted int64 keys ``u * n + v`` (u < v) plus an edge counter;
+every fold of the overlay (and, for a rebuild, of the pending ops) into
+a new base merges the changed keys into that array and hands its rows
+to :meth:`UndirectedGraph.from_edges`.
 
-Lint rule R015 keeps these internals (``_edge_set``/``_h``/overlay)
-private to ``repro/core/`` and ``repro/stream/``.
+Lint rule R015 keeps these internals (``_edge_keys``/``_edge_count``/
+``_h``/overlay) private to ``repro/core/`` and ``repro/stream/``.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ from ..store.csr import sorted_unique
 from .results import UDSResult
 
 __all__ = ["DynamicKStarCore"]
-
-_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
 
 # Regions at or below this size re-converge through a scalar worklist
 # instead of the vectorised local-subgraph sweep: typical single-update
@@ -89,13 +91,17 @@ class DynamicKStarCore:
         self._incremental = incremental
         self._region_fraction = region_fraction
         self._overlay_fraction = overlay_fraction
-        self._edge_set: set[tuple[int, int]] = set()
         # Adjacency at the last *converged* state = base CSR patched by a
         # symmetric overlay of added / deleted neighbour sets (each edge
         # recorded under both endpoints); ``_overlay_edges`` counts
         # canonical overlay edges.  Pending mutations are applied to the
-        # overlay during refresh replay, not at mutation time.
+        # overlay during refresh replay, not at mutation time.  The base
+        # CSR's edges are also kept as sorted keys ``u * n + v`` (u < v),
+        # the array each fold merges into; ``_edge_count`` is the
+        # current edge count, pending mutations included.
         self._base_graph = UndirectedGraph.empty(num_vertices)
+        self._edge_keys = np.empty(0, dtype=np.int64)
+        self._edge_count = 0
         self._ov_add: dict[int, set[int]] = {}
         self._ov_del: dict[int, set[int]] = {}
         self._overlay_edges = 0
@@ -129,19 +135,30 @@ class DynamicKStarCore:
             )
         return (u, v) if u < v else (v, u)
 
+    def _present(self, key: tuple[int, int]) -> bool:
+        """Is edge ``key`` in the current graph?
+
+        A pending op decides first, then the overlay, then the base keys.
+        """
+        op = self._pending.get(key)
+        if op is not None:
+            return op > 0
+        u, v = key
+        if v in self._ov_add.get(u, ()):
+            return True
+        if v in self._ov_del.get(u, ()):
+            return False
+        flat = u * self._num_vertices + v
+        pos = int(np.searchsorted(self._edge_keys, flat))
+        return pos < self._edge_keys.size and int(self._edge_keys[pos]) == flat
+
     def _apply(self, key: tuple[int, int], op: int) -> bool:
-        present = key in self._edge_set
-        if op > 0:
-            if present:
-                return False
-            self._edge_set.add(key)
-        else:
-            if not present:
-                return False
-            self._edge_set.remove(key)
+        if self._present(key) == (op > 0):
+            return False
         if self._pending.pop(key, None) is None:
             self._pending[key] = op
         self._dirty = bool(self._pending)
+        self._edge_count += op
         self.updates_applied += 1
         return True
 
@@ -161,8 +178,33 @@ class DynamicKStarCore:
         the edge set untouched.  An empty batch is a no-op and does not
         dirty the structure (nor change the graph fingerprint).
         """
+        if (not self._edge_count and not self._pending
+                and isinstance(edges, np.ndarray)
+                and edges.shape[1:] == (2,) and edges.dtype.kind in "iu"):
+            return self._insert_into_empty(edges)
         keys = [self._canonical(u, v) for u, v in edges]
         return sum(1 for key in keys if self._apply(key, +1))
+
+    def _insert_into_empty(self, rows: np.ndarray) -> int:
+        """:meth:`insert_edges` of an integer ``(m, 2)`` array, one pass.
+
+        With no edge present and nothing pending, the per-edge path
+        records every distinct canonical row as a pending insertion, in
+        first-occurrence order, and nothing else; this records the same
+        without a membership test per row.  Validation is vectorized,
+        and the first malformed row raises the per-edge message.
+        """
+        lo = np.minimum(rows[:, 0], rows[:, 1])
+        hi = np.maximum(rows[:, 0], rows[:, 1])
+        bad = (lo < 0) | (hi >= self._num_vertices) | (lo == hi)
+        if bad.any():
+            self._canonical(*rows[int(np.argmax(bad))])  # raises
+        self._pending = dict.fromkeys(zip(lo.tolist(), hi.tolist()), +1)
+        added = len(self._pending)
+        self._dirty = bool(added)
+        self._edge_count = added
+        self.updates_applied += added
+        return added
 
     def delete_edges(self, edges) -> int:
         """Bulk delete; return how many edges were actually removed.
@@ -199,20 +241,62 @@ class DynamicKStarCore:
                 self._ov_del.setdefault(v, set()).add(u)
                 self._overlay_edges += 1
 
+    def _overlay_keys(self) -> set[int]:
+        """The overlay's edges as keys ``u * n + v`` (u < v).
+
+        Additions and deletions alike: each one flips its edge against
+        the base.
+        """
+        n = self._num_vertices
+        return {
+            u * n + w
+            for side in (self._ov_add, self._ov_del)
+            for u, nbrs in side.items()
+            for w in nbrs
+            if u < w
+        }
+
+    def _fold(self, flips: set[int]) -> None:
+        """Flip each key of ``flips`` in the base keys; rebuild the CSR.
+
+        A flip of a base key deletes that edge and any other flip adds
+        one: ``searchsorted`` locates both, ``np.delete``/``np.insert``
+        merge them, and the keys' rows go through
+        :meth:`UndirectedGraph.from_edges`.  The overlay is cleared; with
+        nothing to flip the base CSR stays as it is.
+        """
+        self._ov_add.clear()
+        self._ov_del.clear()
+        self._overlay_edges = 0
+        if not flips:
+            return
+        keys = self._edge_keys
+        flip = np.sort(np.fromiter(flips, np.int64, len(flips)))
+        pos = np.searchsorted(keys, flip)
+        present = pos < keys.size
+        present[present] = keys[pos[present]] == flip[present]
+        keys = np.delete(keys, pos[present])
+        added = flip[~present]
+        keys = np.insert(keys, np.searchsorted(keys, added), added)
+        n = self._num_vertices
+        rows = np.empty((keys.size, 2), dtype=np.int64)
+        np.floor_divide(keys, n, out=rows[:, 0])
+        np.subtract(keys, rows[:, 0] * n, out=rows[:, 1])
+        self._edge_keys = keys
+        self._base_graph = UndirectedGraph.from_edges(n, rows)
+
     def _materialize(self) -> UndirectedGraph:
-        """Fold the (fully replayed) overlay into a fresh CSR."""
-        if self._overlay_edges:
-            edges = (
-                np.array(sorted(self._edge_set), dtype=np.int64).reshape(-1, 2)
-                if self._edge_set
-                else _EMPTY_EDGES
-            )
-            self._base_graph = UndirectedGraph.from_edges(
-                self._num_vertices, edges
-            )
-            self._ov_add.clear()
-            self._ov_del.clear()
-            self._overlay_edges = 0
+        """Fold the overlay and any still-pending ops into the base CSR.
+
+        An overlay entry and a pending op on the same edge cancel (the
+        op reverts what the overlay changed), so the flips are the
+        symmetric difference of the two key sets.
+        """
+        n = self._num_vertices
+        flips = self._overlay_keys()
+        flips.symmetric_difference_update(u * n + v for u, v in self._pending)
+        self._pending.clear()
+        self._fold(flips)
         return self._base_graph
 
     def _current_neighbors(self, v: int) -> np.ndarray:
@@ -244,16 +328,14 @@ class DynamicKStarCore:
     def _refresh_rebuild(self, extra_insertions: list | None = None) -> None:
         """Full rebuild + warm-started global re-convergence (fallback).
 
-        Replays whatever is still pending into the overlay first, so it
-        is also the mid-batch fallback target of the incremental path;
-        ``extra_insertions`` carries an already-replayed in-flight
-        insertion whose warm-start bump must still be accounted for.
+        Folds whatever is still pending into the base CSR together with
+        the overlay, so it is also the mid-batch fallback target of the
+        incremental path; ``extra_insertions`` carries an
+        already-replayed in-flight insertion whose warm-start bump must
+        still be accounted for.
         """
         insertions = [key for key, op in self._pending.items() if op > 0]
         insertions.extend(extra_insertions or ())
-        for key, op in self._pending.items():
-            self._overlay_apply(key, op)
-        self._pending.clear()
         graph = self._materialize()
         degrees = graph.degrees()
         # Warm start: old h plus the insertion budget, but only for the
@@ -262,9 +344,8 @@ class DynamicKStarCore:
         # degrees, which are always upper bounds themselves.
         bump = np.zeros(self._num_vertices, dtype=np.int64)
         if insertions:
-            floor = min(
-                int(min(self._h[u], self._h[v])) for u, v in insertions
-            )
+            ends = np.array(insertions, dtype=np.int64)
+            floor = int(self._h[ends].min())
             bump[self._h >= floor] = len(insertions)
         warm = np.minimum(self._h + bump, degrees)
         h = np.maximum(warm, 0)
@@ -324,24 +405,11 @@ class DynamicKStarCore:
     def _compact_overlay(self) -> None:
         """Rebuild the base CSR at the *converged* state (pending unreplayed).
 
-        ``_edge_set`` already holds the final edge set, so the converged
-        set is recovered by undoing the net pending ops.
+        The converged graph is the base patched by the overlay, so this
+        is the fold of the overlay alone; the pending ops stay queued
+        for the replay that follows.
         """
-        edges = set(self._edge_set)
-        for key, op in self._pending.items():
-            if op > 0:
-                edges.discard(key)
-            else:
-                edges.add(key)
-        arr = (
-            np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-            if edges
-            else _EMPTY_EDGES
-        )
-        self._base_graph = UndirectedGraph.from_edges(self._num_vertices, arr)
-        self._ov_add.clear()
-        self._ov_del.clear()
-        self._overlay_edges = 0
+        self._fold(self._overlay_keys())
 
     def _endpoint_unchanged(self, x: int) -> bool:
         """Exact O(deg) test: is ``h[x]`` still x's recomputed h-index?
@@ -601,7 +669,7 @@ class DynamicKStarCore:
     @property
     def num_edges(self) -> int:
         """Current number of edges."""
-        return len(self._edge_set)
+        return self._edge_count
 
     @property
     def num_vertices(self) -> int:

@@ -123,11 +123,13 @@ class RunReport:
     are zero/empty for solvers that run without a simulated runtime.
     ``graph_memory_bytes`` is the *actual* resident size of the input
     graph's CSR + cached scratch buffers (``graph.memory_bytes()``) —
-    distinct from the simulated ``peak_memory_bytes``.  ``cache_hit``
-    marks results served from the engine's memoization cache without
-    re-running the solver.  ``backend`` is the resolved array backend
-    (:mod:`repro.backends`) the run's kernels executed on; it affects
-    wall-clock only — never results or simulated seconds.
+    distinct from the simulated ``peak_memory_bytes``; when the engine
+    materialized a sharded graph for a shard-unaware solver, it is the
+    assembled CSR's size.  ``cache_hit`` marks results served from the
+    engine's memoization cache without re-running the solver.
+    ``backend`` is the resolved array backend (:mod:`repro.backends`)
+    the run's kernels executed on; it affects wall-clock only — never
+    results or simulated seconds.
 
     ``shard``, ``serve`` and ``stream`` are the layer sub-records, each
     ``None`` unless the run went through that layer.

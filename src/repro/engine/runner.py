@@ -12,6 +12,7 @@ toggles are configured in one place.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from ..backends import resolve_backend_name, use_backend
@@ -153,9 +154,16 @@ def run(
                 f"solver {spec.kind}:{spec.name} declares supports_runtime "
                 "but charged nothing to the SimRuntime it was given"
             )
-    result.report = RunReport.from_run(
+    report = RunReport.from_run(
         spec, result, runtime, graph=graph, backend=backend
     )
+    if solver_graph is not graph:
+        # The facade counts resident shards only; the run held the
+        # assembled CSR, which to_graph() paged in outside that count.
+        report = replace(
+            report, graph_memory_bytes=int(solver_graph.memory_bytes())
+        )
+    result.report = report
     if cache is not None:
         cache.put(cache_key, result)
     return result

@@ -93,6 +93,8 @@ class StreamSession:
 
         The graph's fingerprint becomes the base of the session's delta
         log, so :meth:`save_delta` writes a log replayable against it.
+        Its edge array seeds the empty tracker in one pass, leaving the
+        state that applying the same edges one by one would.
         """
         session = cls(graph.num_vertices, **kwargs)
         session._tracker.insert_edges(graph.edges())

@@ -12,7 +12,7 @@ from repro.core.dynamic import DynamicKStarCore
 
 
 def pokes_the_maintained_state(tracker: DynamicKStarCore):
-    tracker._edge_set.add((0, 1))  # plant
+    tracker._edge_keys = np.append(tracker._edge_keys, 1)  # plant
     tracker._h[0] = 7  # plant
     tracker._h += 1  # plant
     tracker._pending[(0, 1)] = +1  # plant

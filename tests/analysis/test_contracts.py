@@ -259,7 +259,7 @@ class TestR014ShardAccess:
 class TestR015StreamMutation:
     """R015 exempts repro/core and repro/stream; everywhere else is in scope."""
 
-    POKE = "def hack(tracker):\n    tracker._edge_set.add((0, 1))\n"
+    POKE = "def hack(tracker):\n    tracker._edge_count += 1\n"
 
     def test_fires_outside_stream_stack(self):
         for path in (
@@ -271,7 +271,7 @@ class TestR015StreamMutation:
                 self.POKE, path=path
             )
             assert [f.rule_id for f in findings] == ["R015"], path
-            assert "_edge_set" in findings[0].message
+            assert "_edge_count" in findings[0].message
 
     def test_silent_inside_stream_stack(self):
         for path in (
@@ -285,7 +285,7 @@ class TestR015StreamMutation:
     def test_reads_not_flagged(self):
         source = (
             "def peek(tracker):\n"
-            "    return tracker._h.copy(), len(tracker._edge_set)\n"
+            "    return tracker._h.copy(), tracker._edge_keys.size\n"
         )
         assert LintEngine(select=["R015"]).lint_source(
             source, path="src/repro/serve/server.py"

@@ -1,5 +1,8 @@
 """Tests for the dynamic k*-core maintainer."""
 
+import copy
+from collections import Counter
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from repro.core import pkmc
 from repro.core.dynamic import DynamicKStarCore
 from repro.errors import EmptyGraphError, GraphError
-from repro.graph import gnm_random_undirected
+from repro.graph import UndirectedGraph, gnm_random_undirected
 
 
 def _nx_core_numbers(edges, n):
@@ -214,3 +217,120 @@ class TestBatchValidation:
         assert tracker.insert_edges([(0, 1)]) == 0  # duplicate: also a no-op
         assert tracker.graph().fingerprint() == fingerprint
         assert tracker.stats() == stats
+
+
+def _canonical(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _random_batch(rng, n, model):
+    """One batch of ``(op, edges)`` steps, applied in order.
+
+    Inserts repeat an edge (also reversed) and deletes mix present edges
+    with random, mostly absent ones; the batch ends by toggling one edge
+    twice, so an insert-then-delete or a delete-then-reinsert of the
+    same edge cancels inside the batch.
+    """
+    size = int(rng.choice([1, 3, max(4, n // 2), 2 * n]))
+    pairs = rng.integers(0, n, size=(size, 2))
+    inserts = [(int(u), int(v)) for u, v in pairs if u != v]
+    if inserts:
+        u, v = inserts[0]
+        inserts += [(u, v), (v, u)]
+    present = sorted(model)
+    deletes = [tuple(map(int, p)) for p in rng.integers(0, n, size=(size // 2, 2))
+               if p[0] != p[1]]
+    if present:
+        deletes += [present[i] for i in rng.integers(0, len(present), size=size)]
+    steps = [(+1, inserts), (-1, deletes)]
+    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+    if _canonical(u, v) in model:
+        steps += [(-1, [(u, v)]), (+1, [(v, u)])]
+    else:
+        steps += [(+1, [(u, v)]), (-1, [(v, u)])]
+    return steps
+
+
+def _drive_against_model(seed, n, num_batches, reads="kgd", **options):
+    """Random batches against a tracker and a Python-set model.
+
+    After every batch the tracker is read once (``reads`` picks among
+    ``k_star()``, ``graph()`` and ``densest_subgraph()``), then checked
+    against the model: return counts, ``num_edges``, the CSR a fold of
+    the current state gives (on a copy, so the tracker's overlay keeps
+    growing) and the core numbers.  Returns how often each maintenance
+    path fired: ``upfront`` and ``mid_batch`` rebuild fallbacks, and
+    ``compaction`` of the overlay.
+    """
+    rng = np.random.default_rng(seed)
+    tracker = DynamicKStarCore(n, **options)
+    max_region = max(1, int(tracker._region_fraction * n))
+    model: set[tuple[int, int]] = set()
+    paths: Counter = Counter()
+    for _ in range(num_batches):
+        for op, edges in _random_batch(rng, n, model):
+            keys = {_canonical(u, v) for u, v in edges}
+            if op > 0:
+                assert tracker.insert_edges(edges) == len(keys - model)
+                model |= keys
+            else:
+                assert tracker.delete_edges(edges) == len(keys & model)
+                model -= keys
+            assert tracker.num_edges == len(model)
+        pending = len(tracker._pending)
+        base, rebuilds = tracker._base_graph, tracker.rebuilds
+        read = reads[int(rng.integers(len(reads)))]
+        if read == "g":
+            tracker.graph()
+        elif read == "k":
+            tracker.k_star()
+        elif model:
+            tracker.densest_subgraph()
+        else:
+            with pytest.raises(EmptyGraphError):
+                tracker.densest_subgraph()
+        if tracker.rebuilds > rebuilds:
+            paths["upfront" if pending > max_region else "mid_batch"] += 1
+        elif read != "g" and tracker._base_graph is not base:
+            paths["compaction"] += 1
+        expected = UndirectedGraph.from_edges(n, sorted(model))
+        folded = copy.deepcopy(tracker).graph()
+        assert np.array_equal(folded.indptr, expected.indptr)
+        assert np.array_equal(folded.indices, expected.indices)
+        assert folded.indptr.dtype == expected.indptr.dtype
+        assert folded.indices.dtype == expected.indices.dtype
+        assert folded.fingerprint() == expected.fingerprint()
+        cores = _nx_core_numbers(sorted(model), n)
+        assert tracker.core_numbers().tolist() == [cores[v] for v in range(n)]
+    return paths
+
+
+class TestStoreAgainstSetModel:
+    """The edge store, its overlay folds and both fallbacks vs a set model."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 90),
+        region_fraction=st.sampled_from([0.02, 0.1, 0.25, 1.0]),
+        overlay_fraction=st.sampled_from([0.001, 0.05, 0.5]),
+        incremental=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_batches_match_the_model(
+        self, seed, n, region_fraction, overlay_fraction, incremental
+    ):
+        _drive_against_model(
+            seed, n, 12, region_fraction=region_fraction,
+            overlay_fraction=overlay_fraction, incremental=incremental,
+        )
+
+    def test_compaction_and_both_fallbacks_fire(self):
+        # Unfolded reads let the overlay outgrow its threshold...
+        grown = _drive_against_model(
+            2, 200, 20, reads="kd", region_fraction=1.0, overlay_fraction=0.001,
+        )
+        assert grown["compaction"] > 0
+        # ...and a tiny region budget trips both rebuild fallbacks.
+        tight = _drive_against_model(2, 120, 30, region_fraction=0.05)
+        assert tight["upfront"] > 0
+        assert tight["mid_batch"] > 0

@@ -150,3 +150,25 @@ class TestRunReportBreakdown:
         assert shard.boundary_messages_bytes == 0
         # Nothing was loaded: the peak is what the BSP run left resident.
         assert shard.peak_resident_bytes == sharded.memory_bytes()
+
+    def test_materialized_run_reports_the_assembled_graph_memory(self, tmp_path):
+        # The facade's memory_bytes() counts resident shards only, and the
+        # to_graph() assembly loads none through the counted path, so a
+        # materialized run must report the CSR it actually ran on — here
+        # 4x the budget, which does not apply to materialization.
+        graph = chung_lu_undirected(4000, 40000, seed=3)
+        save_sharded(graph, tmp_path, shards=8)
+        sharded = load_sharded(tmp_path, memory_budget_bytes=84_001)
+        report = engine_run("pkmc", sharded, ExecutionContext()).report
+        mono = engine_run("pkmc", sharded.to_graph(), ExecutionContext()).report
+        assert report.graph_memory_bytes == mono.graph_memory_bytes
+        assert report.graph_memory_bytes >= graph.memory_bytes(
+            include_scratch=False
+        ) > 84_001
+        assert report.shard.shards == 8
+        assert report.shard.shard_loads == 0
+
+    def test_shard_aware_run_reports_resident_shards(self, undirected_pair):
+        _, sharded = undirected_pair
+        report = engine_run("pkmc-bsp", sharded, ExecutionContext()).report
+        assert report.graph_memory_bytes == sharded.memory_bytes()

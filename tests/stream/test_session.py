@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import sliding_window_stream
 from repro.errors import EngineError, StreamMutationError
-from repro.graph import UndirectedGraph, chung_lu_undirected
+from repro.graph import UndirectedGraph, chung_lu_undirected, gnm_random_undirected
 from repro.store.memo import ResultCache
 from repro.store.snapshot import load_delta, replay_delta
 from repro.stream import StreamSession
@@ -212,6 +212,32 @@ class TestDeltaLog:
         session = StreamSession.from_graph(graph)
         assert session.delta_log == ()
         assert session.stats()["delta_ops"] == 0
+
+
+class TestSeeding:
+    """``from_graph`` seeds in one step, as if the edges were applied."""
+
+    @pytest.mark.parametrize("mode", ["incremental", "rebuild"])
+    @pytest.mark.parametrize("make_graph", [
+        # Past the region budget: the first refresh is one rebuild.
+        lambda: chung_lu_undirected(150, 500, seed=5),
+        # Within it: the first refresh replays the edges one by one.
+        lambda: gnm_random_undirected(400, 90, seed=6),
+    ])
+    def test_from_graph_matches_applied_edges(self, make_graph, mode):
+        graph = make_graph()
+        seeded = StreamSession.from_graph(graph, mode=mode, cache=ResultCache())
+        fed = StreamSession(graph.num_vertices, mode=mode, cache=ResultCache())
+        fed.apply(insertions=graph.edges())
+        first = seeded.query().report
+        assert first == fed.query().report
+        assert first.stream.updates_applied == graph.num_edges
+        assert seeded.graph().fingerprint() == fed.graph().fingerprint()
+        assert seeded.graph().fingerprint() == graph.fingerprint()
+        assert np.array_equal(seeded.core_numbers(), fed.core_numbers())
+        left, right = seeded.stats(), fed.stats()
+        assert (left.pop("delta_ops"), right.pop("delta_ops")) == (0, graph.num_edges)
+        assert left == right
 
 
 class TestModeEquivalence:
