@@ -2,7 +2,7 @@
 
 Companion to ``repro-bench backends`` (the committed-baseline gate):
 pytest-benchmark statistics for the numpy reference vs the multiproc
-shared-memory pool on a single full h-index sweep, plus the dispatch
+thread pool on a single full h-index sweep, plus the dispatch
 overhead of routing a kernel call through ``get_backend()``.  Like
 ``bench_kernels.py`` these measure *real* host wall-clock, so absolute
 numbers are host-specific; the committed acceptance gate compares
@@ -32,7 +32,7 @@ def pool():
 
 
 def test_backend_sweep_numpy(benchmark, medium_undirected):
-    """One full sweep on the single-process numpy reference backend."""
+    """One full sweep on the single-threaded numpy reference backend."""
     graph = medium_undirected
     h = graph.degrees().astype(np.int64)
     backend = NumpyBackend()
@@ -41,16 +41,16 @@ def test_backend_sweep_numpy(benchmark, medium_undirected):
 
 
 def test_backend_sweep_multiproc(benchmark, medium_undirected, pool):
-    """The same sweep fanned out over the shared-memory worker pool.
+    """The same sweep fanned out over the backend's thread pool.
 
-    Note: parent-side elapsed time.  On hosts with fewer free cores than
-    workers the processes time-slice, so compare against the
+    Note: elapsed wall time.  On hosts with fewer free cores than
+    workers the pool threads time-slice, so compare against the
     ``critical_path_s`` view in ``BENCH_backends.json`` before reading
     this as a regression.
     """
     graph = medium_undirected
     h = graph.degrees().astype(np.int64)
-    pool.sweep_values(graph, h)  # warm: spawn + publish + scratch
+    pool.sweep_values(graph, h)  # warm: pool threads + range layouts
     result = benchmark(pool.sweep_values, graph, h)
     assert np.array_equal(result, sweep_values_numpy(graph, h))
 

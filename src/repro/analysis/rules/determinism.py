@@ -25,6 +25,8 @@ _WALL_CLOCK = {
     "time.monotonic_ns",
     "time.process_time",
     "time.process_time_ns",
+    "time.thread_time",
+    "time.thread_time_ns",
     "time.clock",
     "datetime.datetime.now",
     "datetime.datetime.utcnow",

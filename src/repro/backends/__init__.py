@@ -6,8 +6,8 @@ package, one module per implementation:
 
 * :mod:`~repro.backends.numpy_backend` — single-threaded vectorised
   NumPy, the default and the bit-identity reference;
-* :mod:`~repro.backends.multiproc` — process-parallel execution over
-  shared-memory views of the frozen CSR buffers.
+* :mod:`~repro.backends.multiproc` — range tasks on a thread pool over
+  the caller's frozen CSR buffers.
 
 Selection precedence (first match wins):
 
@@ -49,7 +49,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 #: name -> (module, class); implementations import lazily so selecting
-#: numpy never pays for multiprocessing machinery.
+#: numpy never pays for thread-pool machinery.
 _REGISTRY: dict[str, tuple[str, str]] = {
     "numpy": ("repro.backends.numpy_backend", "NumpyBackend"),
     "multiproc": ("repro.backends.multiproc", "MultiprocBackend"),

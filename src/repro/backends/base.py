@@ -27,7 +27,7 @@ class ArrayBackend:
     """Execution strategy for the kernel layer's data-parallel operations.
 
     Subclasses override the three operation hooks; :meth:`close`
-    releases process pools / shared memory.
+    releases thread pools and cached layouts.
     """
 
     #: Registry name, e.g. ``"numpy"``; set by each implementation.
@@ -67,7 +67,7 @@ class ArrayBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release any pools / shared memory; safe to call repeatedly."""
+        """Release any pools and caches; safe to call repeatedly."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -1,60 +1,55 @@
-"""Process-parallel backend over shared-memory CSR views.
+"""Thread-pool backend: range tasks over the caller's frozen CSR.
 
-Strategy
---------
-The parent publishes each graph once into a single
-:class:`multiprocessing.shared_memory.SharedMemory` block laid out as::
+The paper's PKMC (Algorithm 2) is an OpenMP ``parallel for`` over the
+vertices of one shared CSR, and this backend has the same shape: a
+:class:`~concurrent.futures.ThreadPoolExecutor` runs one task per
+slot-balanced range (:func:`repro.store.csr.balanced_bounds`).  Each task
+runs the numpy formulation (:mod:`repro.backends.numpy_backend`) on its
+range of the caller's own arrays and writes a disjoint slice of one
+output array, so results are bit-identical to numpy for any worker
+count or completion order.  NumPy releases the GIL inside the array
+operations the kernels spend their time in, so the tasks overlap.
 
-    indptr | indices | h (index dtype) | out (int64) | subset (int64) | member (bool)
+Jacobi sweeps split the vertex range; frontier subsets and Gauss–Seidel
+batches split the given vertex array (batch members are pairwise
+non-adjacent, so a split stays race-free); the induced-edge count splits
+the adjacency slots.  Calls touching fewer than ``inline_slot_cutoff``
+adjacency slots run inline on numpy, where a task round trip would
+dominate.
 
-and keeps a small fingerprint-keyed LRU of published graphs.  A pool of
-persistent **spawned** worker processes (one duplex pipe each — no
-queues, no feeder threads) attaches by segment name, wraps the raw bytes in ndarray
-views, and constructs a real :class:`~repro.graph.undirected.
-UndirectedGraph` over them — zero-copy, because the stored dtype is
-already the graph's narrowed index dtype.  Workers freeze their views
-(``setflags(write=False)``) and rebuild the lazy scratch buffers
-(``degrees``/``heads``/``hindex_bins``) locally: scratch is never
-pickled across the process boundary, so the frozen-CSR contract survives
-the round trip (see ``tests/backends/test_multiproc.py``).
+Thread rules:
 
-Work is split by **static range partitioning** balanced on adjacency
-slot counts (``np.searchsorted`` over the slot cumsum), so every task
-writes a disjoint slice of the shared ``out`` block and the assembled
-result is bit-identical to the numpy reference regardless of worker
-count or completion order.  Jacobi sweeps parallelize whole vertex
-ranges; frontier subsets and Gauss–Seidel batches parallelize the
-member array of one batch at a time (members are pairwise non-adjacent,
-so range splits stay race-free).
+* the calling thread builds every lazy scratch buffer a task reads
+  (``degrees()``, ``heads()``) before dispatch, so no two threads race
+  on a graph accessor;
+* tasks call only the numpy formulations, never
+  :func:`~repro.backends.get_backend`, so a task never waits on its own
+  pool;
+* a call returns only after all of its tasks finished, and a task's
+  exception reaches the caller unchanged;
+* the per-graph full-sweep range layouts and the counters sit behind one
+  lock, so two threads may call one backend at once.
 
-Small inputs — convergence tails, tiny test graphs — fall back to the
-in-process numpy implementation below ``inline_slot_cutoff`` adjacency
-slots: a ~0.05 ms task round trip would dominate them, and the numpy
-path is bit-identical anyway.
-
-Accounting
-----------
-Workers measure their own busy time with :func:`time.process_time` (CPU
-time, so interleaving on an oversubscribed host does not pollute it) and
-return it with each result.  The backend accumulates, per dispatched
-call, both the true parent-side elapsed wall clock and the derived
-critical path ``max(max_busy, elapsed - sum(busy) + max_busy)`` — the
-makespan the same static partition yields once every worker has its own
-core.  ``repro-bench backends`` reports both, never just the flattering
-one.
+Accounting: each task measures its busy time with
+:func:`time.thread_time`.  Per dispatched call the backend accumulates
+the elapsed wall clock and the critical path
+``max(max_busy, elapsed - sum(busy) + max_busy)``, the makespan the same
+static partition yields once every worker has its own core.
+``repro-bench backends`` reports both.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
-import traceback
 from collections import OrderedDict
-from typing import TYPE_CHECKING
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from ..errors import BackendError
+from ..store.csr import balanced_bounds
 from .base import ArrayBackend
 from .numpy_backend import (
     induced_edge_count_numpy,
@@ -62,270 +57,79 @@ from .numpy_backend import (
     sweep_values_numpy,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph.undirected import UndirectedGraph
+__all__ = ["MultiprocBackend"]
 
-__all__ = ["MultiprocBackend", "WORKERS_ENV_VAR", "DEFAULT_WORKERS"]
-
-#: Environment knob for the worker-pool size (default 2).
-WORKERS_ENV_VAR = "REPRO_BACKEND_WORKERS"
-DEFAULT_WORKERS = 2
-
-#: Below this many adjacency slots an operation runs inline in the
-#: parent process: the per-task queue round trip (~0.05 ms) would
-#: dominate, and the inline numpy path is bit-identical regardless.
+#: Below this many adjacency slots an operation runs inline on numpy.
 DEFAULT_INLINE_SLOT_CUTOFF = 4096
 
-#: Published graphs kept alive at once (LRU by fingerprint).
-_GRAPH_LRU_CAP = 8
-
-_RESULT_TIMEOUT_S = 120.0
+#: Graphs whose full-sweep range layouts are kept (LRU by fingerprint).
+_LAYOUT_CACHE_CAP = 8
 
 
-def _env_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_WORKERS
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise BackendError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if workers < 1:
-        raise BackendError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
+def _default_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-# ----------------------------------------------------------------------
-# Shared-memory layout (computed identically on both sides)
-# ----------------------------------------------------------------------
-
-def _layout(n: int, m2: int, idx_dtype: np.dtype) -> dict[str, tuple[int, int, np.dtype]]:
-    """Return ``field -> (offset, count, dtype)`` for one graph block."""
-    idx = np.dtype(idx_dtype)
-    # h-values are bounded by the max degree < n, so they always fit the
-    # graph's narrowed index dtype; storing the h block narrowed halves
-    # the worker-side gather bandwidth on int32 graphs.  The out block
-    # stays int64 — it is the result array handed back to callers.
-    fields = [
-        ("indptr", n + 1, idx),
-        ("indices", m2, idx),
-        ("h", n, idx),
-        ("out", n, np.dtype(np.int64)),
-        ("subset", n, np.dtype(np.int64)),
-        ("member", n, np.dtype(np.bool_)),
-    ]
-    layout: dict[str, tuple[int, int, np.dtype]] = {}
-    offset = 0
-    for name, count, dtype in fields:
-        # Keep every field 8-byte aligned regardless of the index dtype.
-        offset = (offset + 7) & ~7
-        layout[name] = (offset, count, dtype)
-        offset += count * dtype.itemsize
-    layout["__total__"] = (offset, 0, np.dtype(np.uint8))
-    return layout
+def _ranges(bounds: np.ndarray) -> list[tuple[int, int]]:
+    """The non-empty ``[lo, hi)`` ranges of a bounds array."""
+    edges = bounds.tolist()
+    return [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
-def _views(buf, meta) -> dict[str, np.ndarray]:
-    """Build the ndarray views of one graph block from its meta tuple."""
-    _, n, m2, dtype_str = meta
-    layout = _layout(n, m2, np.dtype(dtype_str))
-    views = {}
-    for name, (offset, count, dtype) in layout.items():
-        if name == "__total__":
-            continue
-        views[name] = np.ndarray(count, dtype=dtype, buffer=buf, offset=offset)
-    return views
+def _range_layout(indptr: np.ndarray, lo: int, hi: int) -> tuple:
+    """Segment layout of the full-sweep vertex range ``[lo, hi)``.
+
+    The range-local counterpart of the graph's ``heads()`` /
+    ``hindex_bins()`` scratch, in the graph's index dtype (offsets stay
+    under the graph-global ``2m + n`` it was narrowed for).
+    """
+    seg_ptr = indptr[lo:hi + 1] - indptr[lo]
+    lens = np.diff(seg_ptr)
+    rows = np.arange(hi - lo, dtype=indptr.dtype)
+    bin_ptr = np.zeros(hi - lo + 1, dtype=indptr.dtype)
+    np.cumsum(lens + 1, out=bin_ptr[1:])
+    bins = (bin_ptr, np.repeat(rows, lens + 1))
+    slots = (int(indptr[lo]), int(indptr[hi]))
+    return lo, hi, slots, seg_ptr, np.repeat(rows, lens), bins
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-
-class _WorkerGraph:
-    """A worker's attachment to one published graph."""
-
-    __slots__ = ("shm", "graph", "views", "range_cache")
-
-    def __init__(self, meta):
-        from multiprocessing import shared_memory
-
-        from ..graph.undirected import UndirectedGraph
-
-        self.shm = shared_memory.SharedMemory(name=meta[0])
-        self.views = _views(self.shm.buf, meta)
-        # Zero-copy: the stored dtype is the graph's narrowed index dtype,
-        # so the constructor's ascontiguousarray calls return the shm
-        # views themselves.  Scratch buffers start empty and are rebuilt
-        # lazily *in this process* — never unpickled from the parent.
-        self.graph = UndirectedGraph(self.views["indptr"], self.views["indices"])
-        self.graph.indptr.setflags(write=False)
-        self.graph.indices.setflags(write=False)
-        # Per-range full-sweep segment layouts, keyed (lo, hi): the
-        # static partition of a given graph never changes, so these are
-        # computed once per worker and reused every sweep.
-        self.range_cache: dict[tuple[int, int], tuple] = {}
-
-    def close(self):
-        self.views.clear()
-        self.graph = None
-        self.shm.close()
-
-
-def _full_sweep_range(wg: _WorkerGraph, lo: int, hi: int) -> None:
-    """Recompute ``out[lo:hi]`` from ``h`` for one full-sweep vertex range."""
-    graph, views = wg.graph, wg.views
-    cached = wg.range_cache.get((lo, hi))
-    if cached is None:
-        # Range-local segment layout in the graph's (possibly narrowed)
-        # index dtype, mirroring the cached heads()/hindex_bins() scratch
-        # the single-process numpy path enjoys; offsets within a range
-        # are bounded by the graph-global 2m + n, so the dtype is safe.
-        indptr = graph.indptr
-        idx = indptr.dtype
-        seg_ptr = indptr[lo:hi + 1] - indptr[lo]
-        lens = np.diff(seg_ptr)
-        seg_rows = np.repeat(np.arange(hi - lo, dtype=idx), lens)
-        bin_ptr = np.zeros(hi - lo + 1, dtype=idx)
-        np.cumsum(lens + 1, out=bin_ptr[1:])
-        bin_rows = np.repeat(np.arange(hi - lo, dtype=idx), lens + 1)
-        cached = (seg_ptr, seg_rows, (bin_ptr, bin_rows))
-        wg.range_cache[(lo, hi)] = cached
-    seg_ptr, seg_rows, bins = cached
-    slot_lo, slot_hi = int(graph.indptr[lo]), int(graph.indptr[hi])
-    values = views["h"][graph.indices[slot_lo:slot_hi]]
-    views["out"][lo:hi] = segment_h_index_numpy(
+def _full_sweep_range(graph, h, out, layout) -> None:
+    """Recompute ``out[lo:hi]`` from ``h`` for one full-sweep range."""
+    lo, hi, (slot_lo, slot_hi), seg_ptr, seg_rows, bins = layout
+    values = h[graph.indices[slot_lo:slot_hi]]
+    out[lo:hi] = segment_h_index_numpy(
         seg_ptr, values, seg_rows=seg_rows, bins=bins
     )
 
 
-def _subset_sweep_range(wg: _WorkerGraph, lo: int, hi: int) -> None:
-    """Recompute ``out[lo:hi]`` for the subset ids in ``subset[lo:hi]``."""
-    graph, views = wg.graph, wg.views
-    vertices = views["subset"][lo:hi]
-    views["out"][lo:hi] = sweep_values_numpy(graph, views["h"], vertices)
+def _subset_sweep_range(graph, h, vertices, out, lo, hi) -> None:
+    """Recompute ``out[lo:hi]`` for the ids ``vertices[lo:hi]``."""
+    out[lo:hi] = sweep_values_numpy(graph, h, vertices[lo:hi])
 
 
-def _count_slot_range(wg: _WorkerGraph, lo: int, hi: int) -> int:
+def _count_slot_range(graph, member, lo, hi) -> int:
     """Induced-edge count restricted to adjacency slots ``[lo, hi)``."""
-    graph, views = wg.graph, wg.views
-    member = views["member"]
     heads = graph.heads()[lo:hi]
     tails = graph.indices[lo:hi]
     return int(np.count_nonzero(member[heads] & member[tails] & (heads < tails)))
 
 
-def _inspect(wg: _WorkerGraph) -> dict:
-    """Diagnostics for the scratch-rebuild / read-only regression tests."""
-    graph = wg.graph
-    return {
-        "pid": os.getpid(),
-        "indptr_writeable": bool(graph.indptr.flags.writeable),
-        "indices_writeable": bool(graph.indices.flags.writeable),
-        "indptr_is_shm_view": graph.indptr.base is not None,
-        "indices_is_shm_view": graph.indices.base is not None,
-        "scratch_keys": sorted(graph._scratch),
-        "scratch_writeable": {
-            key: bool(arr.flags.writeable) for key, arr in graph._scratch.items()
-        },
-        "range_cache_keys": sorted(wg.range_cache),
-    }
-
-
-def _worker_main(conn):
-    """Persistent worker loop: attach graphs on demand, run range tasks.
-
-    One duplex :func:`multiprocessing.Pipe` per worker, no queues: a
-    queue's feeder thread adds a parent-side hop to every message, and
-    on a contended host those wakeups land straight on the critical
-    path.  Tasks and results are tiny tuples; the arrays travel through
-    shared memory only.
-    """
-    graphs: dict[str, _WorkerGraph] = {}
-    while True:
-        task = conn.recv()
-        kind = task[0]
-        if kind == "stop":
-            for wg in graphs.values():
-                wg.close()
-            conn.close()
-            return
-        if kind == "release":
-            wg = graphs.pop(task[1], None)
-            if wg is not None:
-                wg.close()
-            continue
-        seq = task[-1]
-        try:
-            meta = task[1]
-            wg = graphs.get(meta[0])
-            if wg is None:
-                wg = graphs[meta[0]] = _WorkerGraph(meta)
-            t0 = time.process_time()  # repro-lint: disable=R001 (worker busy-time accounting)
-            if kind == "full":
-                _, _, lo, hi, _ = task
-                _full_sweep_range(wg, lo, hi)
-                payload = None
-            elif kind == "subset":
-                _, _, lo, hi, _ = task
-                _subset_sweep_range(wg, lo, hi)
-                payload = None
-            elif kind == "count":
-                _, _, lo, hi, _ = task
-                payload = _count_slot_range(wg, lo, hi)
-            elif kind == "inspect":
-                payload = _inspect(wg)
-            else:
-                raise BackendError(f"unknown worker task {kind!r}")
-            busy = time.process_time() - t0  # repro-lint: disable=R001 (worker busy-time accounting)
-            conn.send(("ok", seq, busy, payload))
-        except BaseException:  # repro-lint: disable=R002 (worker loop: every failure must reach the parent)
-            conn.send(("err", seq, 0.0, traceback.format_exc()))
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-
-class _SharedGraph:
-    """Parent-side record of one published graph."""
-
-    __slots__ = ("shm", "meta", "views", "bounds_cache")
-
-    def __init__(self, graph: "UndirectedGraph"):
-        from multiprocessing import shared_memory
-
-        n = graph.num_vertices
-        m2 = graph.indices.size
-        idx = graph.indptr.dtype
-        total = _layout(n, m2, idx)["__total__"][0]
-        self.shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        self.meta = (self.shm.name, n, m2, idx.str)
-        self.views = _views(self.shm.buf, self.meta)
-        self.views["indptr"][:] = graph.indptr
-        self.views["indices"][:] = graph.indices
-        # Static partitions, keyed (kind, parts): a published graph never
-        # changes, so the balanced full-sweep split is computed once.
-        self.bounds_cache: dict[tuple[str, int], np.ndarray] = {}
-
-    def close(self, unlink: bool = True):
-        self.views.clear()
-        self.shm.close()
-        if unlink:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover  # repro-lint: disable=R002 (idempotent unlink)
-                pass
+def _timed(task, *args):
+    """Run one task; return ``(busy CPU seconds of this thread, result)``."""
+    start = time.thread_time()  # repro-lint: disable=R001 (task busy-time accounting)
+    result = task(*args)
+    return time.thread_time() - start, result  # repro-lint: disable=R001 (task busy-time accounting)
 
 
 class MultiprocBackend(ArrayBackend):
-    """Shared-memory process pool executing the kernel hot paths.
+    """Thread pool running the kernel hot paths over slot-balanced ranges.
 
-    ``workers`` defaults to the ``REPRO_BACKEND_WORKERS`` environment
-    variable (falling back to 2); ``inline_slot_cutoff`` is the minimum
-    adjacency-slot count an operation must touch before it is worth a
-    trip through the pool.
+    ``workers`` defaults to the number of CPUs the process may run on;
+    ``inline_slot_cutoff`` is the minimum adjacency-slot count an
+    operation must touch before it is worth a trip through the pool.
     """
 
     name = "multiproc"
@@ -335,144 +139,70 @@ class MultiprocBackend(ArrayBackend):
         workers: int | None = None,
         inline_slot_cutoff: int = DEFAULT_INLINE_SLOT_CUTOFF,
     ):
-        self.workers = int(workers) if workers is not None else _env_workers()
+        self.workers = int(workers) if workers is not None else _default_workers()
         if self.workers < 1:
             raise BackendError(f"workers must be >= 1, got {self.workers}")
         self.inline_slot_cutoff = int(inline_slot_cutoff)
-        self._procs: list = []
-        self._conns: list = []
-        self._graphs: "OrderedDict[str, _SharedGraph]" = OrderedDict()
-        self._seq = 0
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._layouts: "OrderedDict[str, list[tuple]]" = OrderedDict()
         self.reset_perf()
 
-    # -- pool / shared-memory lifecycle --------------------------------
-
-    def _ensure_pool(self) -> None:
-        if self._procs:
-            return
-        import multiprocessing as mp
-
-        ctx = mp.get_context("spawn")
-        for _ in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    def _prepare(self, graph: "UndirectedGraph") -> _SharedGraph:
-        key = graph.fingerprint()
-        shared = self._graphs.get(key)
-        if shared is not None:
-            self._graphs.move_to_end(key)
-            return shared
-        shared = _SharedGraph(graph)
-        self._graphs[key] = shared
-        while len(self._graphs) > _GRAPH_LRU_CAP:
-            _, evicted = self._graphs.popitem(last=False)
-            for conn in self._conns:
-                conn.send(("release", evicted.meta[0]))
-            evicted.close()
-        return shared
-
     def close(self) -> None:
-        """Stop the pool and free every published shared-memory block."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):  # pragma: no cover  # repro-lint: disable=R002 (pool teardown)
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-        for conn in self._conns:
-            conn.close()
-        self._procs = []
-        self._conns = []
-        for shared in self._graphs.values():
-            shared.close()
-        self._graphs = OrderedDict()
+        """Shut the pool down and drop the cached range layouts."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+            self._layouts.clear()
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # -- dispatch ------------------------------------------------------
 
-    def _collect(self, pending: list) -> list:
-        """Gather one result per pending connection; raise on death."""
-        from multiprocessing.connection import wait
+    def _full_layouts(self, graph) -> list[tuple]:
+        """The full-sweep range layouts of ``graph``, built once per graph."""
+        key = graph.fingerprint()
+        with self._lock:
+            layouts = self._layouts.get(key)
+            if layouts is not None:
+                self._layouts.move_to_end(key)
+                return layouts
+            bounds = balanced_bounds(graph.indptr.astype(np.int64), self.workers)
+            layouts = [
+                _range_layout(graph.indptr, lo, hi) for lo, hi in _ranges(bounds)
+            ]
+            self._layouts[key] = layouts
+            while len(self._layouts) > _LAYOUT_CACHE_CAP:
+                self._layouts.popitem(last=False)
+            return layouts
 
-        results = []
-        waiting = list(pending)
-        deadline = time.monotonic() + _RESULT_TIMEOUT_S  # repro-lint: disable=R001 (pool watchdog)
-        while waiting:
-            ready = wait(waiting, timeout=1.0)
-            for conn in ready:
-                try:
-                    results.append(conn.recv())
-                except (EOFError, ConnectionResetError, OSError):
-                    ready = None  # worker hung up mid-protocol
-                    break
-                waiting.remove(conn)
-            if ready:
-                continue
-            dead = [p for p in self._procs if not p.is_alive()]
-            if ready is None or dead or time.monotonic() > deadline:  # repro-lint: disable=R001 (pool watchdog)
-                self.close()
-                reason = (
-                    f"{len(dead)} worker process(es) died"
-                    if dead or ready is None
-                    else f"no answer within {_RESULT_TIMEOUT_S:.0f}s"
+    def _dispatch(self, task, arg_tuples: list[tuple]) -> list:
+        """Run ``task(*args)`` for every tuple on the pool; return the results."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    self.workers, thread_name_prefix="repro-backend"
                 )
-                raise BackendError(f"multiproc pool failed: {reason} (pool reset)")
-        errors = [r for r in results if r[0] == "err"]
-        if errors:
-            raise BackendError(
-                "multiproc worker task failed:\n" + errors[0][3]
-            )
-        return results
-
-    def _run_ranges(self, kind: str, shared: _SharedGraph, bounds: np.ndarray):
-        """Dispatch one range task per worker slice; return their results."""
+            pool = self._pool
         start = time.perf_counter()  # repro-lint: disable=R001 (perf accounting, not simulation)
-        pending = []
-        for worker_id in range(bounds.size - 1):
-            lo, hi = int(bounds[worker_id]), int(bounds[worker_id + 1])
-            if hi <= lo:
-                continue
-            self._seq += 1
-            conn = self._conns[worker_id % self.workers]
-            conn.send((kind, shared.meta, lo, hi, self._seq))
-            pending.append(conn)
-        results = self._collect(pending)
+        futures = [pool.submit(_timed, task, *args) for args in arg_tuples]
+        # Wait for every task before reading any result: no task may
+        # still read the caller's arrays once this call returns or raises.
+        wait(futures)
         elapsed = time.perf_counter() - start  # repro-lint: disable=R001 (perf accounting, not simulation)
-        busy = [r[2] for r in results]
+        timed = [future.result() for future in futures]
+        busy = [seconds for seconds, _ in timed]
         busy_sum, busy_max = float(sum(busy)), float(max(busy, default=0.0))
-        critical = max(busy_max, elapsed - busy_sum + busy_max)
-        self.perf["dispatched_calls"] += 1
-        self.perf["tasks"] += len(results)
-        self.perf["elapsed_s"] += elapsed
-        self.perf["busy_s"] += busy_sum
-        self.perf["critical_s"] += critical
-        return results
+        with self._lock:
+            self.perf["dispatched_calls"] += 1
+            self.perf["tasks"] += len(timed)
+            self.perf["elapsed_s"] += elapsed
+            self.perf["busy_s"] += busy_sum
+            self.perf["critical_s"] += max(busy_max, elapsed - busy_sum + busy_max)
+        return [result for _, result in timed]
 
-    @staticmethod
-    def _balanced_bounds(cumulative: np.ndarray, parts: int) -> np.ndarray:
-        """Split ``0..len(cumulative)-1`` into ``parts`` slot-balanced ranges.
-
-        ``cumulative`` is a non-decreasing pointer array (e.g. ``indptr``);
-        the split equalises ``cumulative`` mass, not element counts, so
-        skewed-degree graphs still balance.
-        """
-        size = cumulative.size - 1
-        total = int(cumulative[-1])
-        targets = (np.arange(1, parts, dtype=np.int64) * total) // parts
-        interior = np.searchsorted(cumulative, targets, side="left")
-        bounds = np.empty(parts + 1, dtype=np.int64)
-        bounds[0], bounds[-1] = 0, size
-        bounds[1:-1] = np.minimum(interior, size)
-        return np.maximum.accumulate(bounds)
+    def _count_inline(self) -> None:
+        with self._lock:
+            self.perf["inline_calls"] += 1
 
     # -- perf accounting ----------------------------------------------
 
@@ -489,84 +219,61 @@ class MultiprocBackend(ArrayBackend):
 
     def perf_snapshot(self) -> dict:
         """Copy of the accumulated counters (for the bench harness)."""
-        return dict(self.perf)
+        with self._lock:
+            return dict(self.perf)
 
     # -- ArrayBackend operations ---------------------------------------
 
     def segment_h_index(self, seg_ptr, values, seg_rows=None, bins=None):
-        """Per-segment h-indices (in-process fallback — see the comment)."""
-        # Generic segmentations carry no stable identity to publish under;
-        # every heavy caller goes through sweep_values, so this stays a
-        # documented in-process fallback rather than a parallel path.
-        self.perf["inline_calls"] += 1
+        """Per-segment h-indices, computed inline on numpy.
+
+        Every heavy caller goes through :meth:`sweep_values`; a generic
+        segmentation stays on the calling thread.
+        """
+        self._count_inline()
         return segment_h_index_numpy(seg_ptr, values, seg_rows=seg_rows, bins=bins)
 
     def sweep_values(self, graph, h, vertices=None):
-        """One h-index sweep, fanned out over slot-balanced worker ranges.
+        """One h-index sweep, fanned out over slot-balanced ranges.
 
-        Small calls (under ``inline_slot_cutoff`` adjacency slots) run
-        inline on the numpy formulation; everything else publishes the
-        graph into shared memory once and dispatches per-worker vertex
-        ranges balanced by slot mass.
+        Calls under ``inline_slot_cutoff`` adjacency slots run inline on
+        numpy; the rest split the vertices by slot mass, one task per
+        range.
         """
         n = graph.num_vertices
         if vertices is None:
-            slot_total = graph.indices.size
+            lens, slot_total = None, graph.indices.size
         else:
             vertices = np.asarray(vertices, dtype=np.int64)
-            slot_total = int(graph.degrees()[vertices].sum()) if vertices.size else 0
+            lens = graph.degrees()[vertices]  # builds the tasks' scratch here
+            slot_total = int(lens.sum())
         if n == 0 or slot_total < self.inline_slot_cutoff:
-            self.perf["inline_calls"] += 1
+            self._count_inline()
             return sweep_values_numpy(graph, h, vertices)
-        self._ensure_pool()
-        shared = self._prepare(graph)
-        shared.views["h"][:] = h
         if vertices is None:
-            bounds = shared.bounds_cache.get(("full", self.workers))
-            if bounds is None:
-                bounds = self._balanced_bounds(
-                    graph.indptr.astype(np.int64), self.workers
-                )
-                shared.bounds_cache[("full", self.workers)] = bounds
-            self._run_ranges("full", shared, bounds)
-            return shared.views["out"][:n].copy()
-        count = vertices.size
-        shared.views["subset"][:count] = vertices
-        cum = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(graph.degrees()[vertices], out=cum[1:])
-        bounds = self._balanced_bounds(cum, self.workers)
-        self._run_ranges("subset", shared, bounds)
-        return shared.views["out"][:count].copy()
+            out = np.empty(n, dtype=np.int64)
+            self._dispatch(_full_sweep_range, [
+                (graph, h, out, layout) for layout in self._full_layouts(graph)
+            ])
+            return out
+        cumulative = np.zeros(vertices.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=cumulative[1:])
+        out = np.empty(vertices.size, dtype=np.int64)
+        self._dispatch(_subset_sweep_range, [
+            (graph, h, vertices, out, lo, hi)
+            for lo, hi in _ranges(balanced_bounds(cumulative, self.workers))
+        ])
+        return out
 
     def induced_edge_count(self, graph, member):
-        """Edges with both endpoints in ``member``, counted across workers."""
-        if graph.indices.size < self.inline_slot_cutoff:
-            self.perf["inline_calls"] += 1
-            return induced_edge_count_numpy(graph, member)
-        self._ensure_pool()
-        shared = self._prepare(graph)
-        shared.views["member"][:] = member
+        """Edges with both endpoints in ``member``, counted per slot range."""
         slots = graph.indices.size
-        per_worker = np.linspace(0, slots, self.workers + 1).astype(np.int64)
-        results = self._run_ranges("count", shared, per_worker)
-        return int(sum(r[3] for r in results))
-
-    # -- diagnostics ---------------------------------------------------
-
-    def inspect_workers(self, graph: "UndirectedGraph") -> list[dict]:
-        """Per-worker view of a published graph (tests/debugging only).
-
-        Forces the graph to be published and attached, then asks every
-        worker how its local reconstruction looks: pid, CSR view
-        writeability, which scratch buffers were rebuilt locally and
-        whether they are frozen.
-        """
-        self._ensure_pool()
-        shared = self._prepare(graph)
-        pending = []
-        for conn in self._conns:
-            self._seq += 1
-            conn.send(("inspect", shared.meta, self._seq))
-            pending.append(conn)
-        results = self._collect(pending)
-        return [r[3] for r in sorted(results, key=lambda r: r[1])]
+        if slots < self.inline_slot_cutoff:
+            self._count_inline()
+            return induced_edge_count_numpy(graph, member)
+        graph.heads()  # build the scratch the tasks read, on this thread
+        bounds = np.linspace(0, slots, self.workers + 1).astype(np.int64)
+        counts = self._dispatch(
+            _count_slot_range, [(graph, member, lo, hi) for lo, hi in _ranges(bounds)]
+        )
+        return int(sum(counts))

@@ -5,7 +5,7 @@ inline in :mod:`repro.kernels.segments` and
 :mod:`repro.kernels.density`; the kernel modules now dispatch through
 :func:`repro.backends.get_backend` and every other backend is defined as
 "bit-identical to this one".  The functions are plain module-level
-callables (not methods) so the multiprocessing backend's workers and its
+callables (not methods) so the multiproc backend's range tasks and its
 small-input inline fallback can reuse them directly.
 """
 

@@ -9,14 +9,14 @@ beat the single-threaded numpy reference on the largest graph.
 Two wall-clock views are recorded for the multiproc backend, and the
 payload always carries both:
 
-* ``elapsed_s`` — true parent-side wall clock of the convergence loop.
-  On a host with fewer cores than workers the processes time-slice one
-  core, so this number *understates* the backend (every worker's CPU
-  second still burns wall time).
-* ``critical_path_s`` — elapsed with worker busy time re-laid onto
+* ``elapsed_s`` — true wall clock of the convergence loop.  On a host
+  with fewer cores than workers the pool threads time-slice the cores,
+  so this number *understates* the backend (every task's CPU second
+  still burns wall time).
+* ``critical_path_s`` — elapsed with task busy time re-laid onto
   concurrent cores: per dispatched sweep the pool records
-  ``max(max_busy, elapsed - sum(busy) + max_busy)`` from the workers'
-  own :func:`time.process_time` measurements.  This is the makespan the
+  ``max(max_busy, elapsed - sum(busy) + max_busy)`` from each task's
+  own :func:`time.thread_time` measurement.  This is the makespan the
   same static partition yields once each worker owns a core, and it is
   what the acceptance gate below checks.
 
@@ -220,7 +220,7 @@ def render_backend_report(payload: dict) -> str:
 
 
 HARNESS = Harness(
-    # Tolerance wider than the single-process harnesses' 25%: the
+    # Tolerance wider than the single-threaded harnesses' 25%: the
     # multiproc numbers time-slice a small host's cores, so run-to-run
     # speedup variance is higher; the absolute floor owns the hard
     # requirement.

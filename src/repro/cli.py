@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .backends import available_backends
 from .engine import ExecutionContext, get_solver, registry_table
 from .engine import run as engine_run
 from .errors import EngineError, ReproError
@@ -99,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("numpy", "multiproc"),
+        choices=tuple(available_backends()),
         default=None,
         help="array backend the kernels execute on (default: the "
         "REPRO_BACKEND environment variable, then numpy); results are "

@@ -67,7 +67,7 @@ def synchronous_sweep(
     sweep instead of the O(m log m) per-sweep ``lexsort`` it replaces.
     The recomputation itself runs on the active array backend
     (:func:`~repro.kernels.frontier.hindex_sweep_values`), which may
-    split the vertex range across worker processes; outputs are
+    split the vertex range across pool threads; outputs are
     bit-identical whichever backend executes.
 
     When ``runtime`` is a sanitizing :class:`~repro.runtime.simruntime.

@@ -58,8 +58,8 @@ class EngineError(ReproError):
 class BackendError(ReproError):
     """Raised by :mod:`repro.backends` for array-backend failures.
 
-    Covers unknown backend names and worker-side failures surfaced by
-    the multiprocessing backend.
+    Covers unknown backend names and invalid backend settings, such as
+    a worker count below one.
     """
 
 

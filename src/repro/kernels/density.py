@@ -5,7 +5,7 @@ just to count the edges inside its answer set; this module is the single
 implementation, one vectorised pass over the graph's cached ``heads()``
 scratch buffer, executed by the active array backend
 (:mod:`repro.backends` — the multiproc backend splits the slot range
-across workers on large graphs).
+across pool threads on large graphs).
 """
 
 from __future__ import annotations

@@ -190,7 +190,6 @@ def frontier_inplace_sweep(
     dirty: np.ndarray | None = None,
     batches: list[np.ndarray] | None = None,
     runtime: "SimRuntime | None" = None,
-    clamp: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Gauss–Seidel sweep over the dirty set, updating ``h`` in place.
 
@@ -205,14 +204,6 @@ def frontier_inplace_sweep(
     with the fresh value — the array evolution matches plain sequential
     Gauss–Seidel sweep for sweep, only skipping recomputations that are
     provably identity.
-
-    ``clamp=True`` takes ``min(old, recomputed)`` instead of the raw
-    recomputation, making every change a decrease.  The localized
-    streaming refresh (:mod:`repro.core.dynamic`) relies on this: over a
-    *sub*-region with frozen boundary values the unclamped iteration may
-    transiently increase values, and the clamp is what guarantees
-    termination while still ending at the exact fixed point
-    (docs/streaming.md).  The default reproduces plain Gauss–Seidel.
     """
     n = graph.num_vertices
     if batches is None:
@@ -232,19 +223,15 @@ def frontier_inplace_sweep(
 
             def batch_body(i, h_arr, members=members):
                 v = int(members[i])
-                value = _scalar_h_index(h_arr[indices[indptr[v]:indptr[v + 1]]])
-                h_arr[v] = min(h_arr[v], value) if clamp else value
+                h_arr[v] = _scalar_h_index(h_arr[indices[indptr[v]:indptr[v + 1]]])
 
             runtime.observe_parfor(
                 members.size, batch_body, {"h_arr": h}, label="frontier_inplace_batch"
             )
         else:
-            values = hindex_sweep_values(graph, h, members).astype(
+            h[members] = hindex_sweep_values(graph, h, members).astype(
                 h.dtype, copy=False
             )
-            if clamp:
-                values = np.minimum(values, old_values)
-            h[members] = values
         changed = members[h[members] < old_values]
         if changed.size:
             dirty[_neighbors_of(graph, changed)] = True

@@ -8,7 +8,7 @@ applies admission control (bounded queue + per-tenant
 :class:`~repro.errors.ServeRejected` retry-after metadata), coalesces
 duplicate queries onto single-flight computations keyed by the memo
 fingerprint, batches flights per graph so CSR scratch and backend
-shared-memory segments are set up once per batch, and serves repeats
+range layouts are set up once per batch, and serves repeats
 from a TTL-aware :class:`~repro.store.memo.ResultCache`.  Every
 response is bit-identical to a direct :func:`repro.engine.run` of the
 same query, and carries the engine's

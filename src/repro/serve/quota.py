@@ -33,7 +33,9 @@ class TokenBucket:
     def _refill(self, now: float) -> None:
         elapsed = max(0.0, now - self._last_refill)
         self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
-        self._last_refill = now
+        # The watermark never moves back: after a clock step backwards,
+        # the interval up to the old reading is not credited twice.
+        self._last_refill = max(self._last_refill, now)
 
     def try_take(self, now: float) -> float:
         """Spend one token at time ``now``; return the retry delay.

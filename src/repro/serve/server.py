@@ -14,8 +14,8 @@ exploit the two redundancies real traffic has:
   result, bit-identical to running the solver themselves;
 * **per-graph batching** — flights are grouped by graph fingerprint so
   the per-graph setup (CSR scratch warming, the multiproc backend's
-  published shared-memory segment) is paid once per batch and stays hot
-  in the backend's LRU instead of thrashing across interleaved graphs.
+  full-sweep range layouts) is paid once per batch and stays hot in the
+  backend's LRU instead of thrashing across interleaved graphs.
 
 Below the coalescing sits the TTL-aware
 :class:`~repro.store.memo.ResultCache`, so repetition *across* drain

@@ -26,6 +26,10 @@ which at 1M int64 values costs 20-50x one ``np.sort``.
 :func:`unique_pairs` dedups ``(head, tail)`` rows through the combined
 key ``heads * n + tails``. Lint rule R016 keeps every other
 ``np.unique`` out of ``src/repro``.
+
+:func:`balanced_bounds` is the one slot-balanced range partitioner: the
+array backend splits sweeps into worker ranges with it, and
+:func:`repro.store.shard.shard_bounds` splits a graph into shards.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "balanced_bounds",
     "csr_from_sorted_canonical",
     "counting_sort_csr",
     "reference_csr_from_canonical",
@@ -64,6 +69,28 @@ def sorted_unique(values) -> np.ndarray:
     first[0] = True
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
     return flat[first]
+
+
+def balanced_bounds(cumulative: np.ndarray, parts: int) -> np.ndarray:
+    """Split ``0..len(cumulative)-1`` into ``parts`` mass-balanced ranges.
+
+    ``cumulative`` is a non-decreasing pointer array such as ``indptr``.
+    Returns ``parts + 1`` non-decreasing int64 bounds from 0 to
+    ``len(cumulative) - 1``; range ``i`` is ``[bounds[i], bounds[i + 1])``.
+    The split equalises ``cumulative`` mass, not element counts, so a
+    skewed-degree graph still balances.
+
+    >>> balanced_bounds(np.array([0, 6, 7, 8, 9, 10, 11, 12]), 2).tolist()
+    [0, 1, 7]
+    """
+    size = cumulative.size - 1
+    total = int(cumulative[-1])
+    targets = (np.arange(1, parts, dtype=np.int64) * total) // parts
+    interior = np.searchsorted(cumulative, targets, side="left")
+    bounds = np.empty(parts + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, size
+    bounds[1:-1] = np.minimum(interior, size)
+    return np.maximum.accumulate(bounds)
 
 
 def unique_pairs(num_vertices: int, heads, tails) -> np.ndarray:

@@ -200,8 +200,11 @@ def _try_numeric_text(text: str) -> Tuple[np.ndarray, list[str]] | None:
     minus_at = np.flatnonzero(minus)
     if minus_at.size and not bool(np.all(token_start[minus_at])):
         return None
-    tokens_per_line = np.add.reduceat(
-        token_start.astype(np.int64), line_starts
+    # Count tokens per line from the token positions: a reduceat over
+    # an int64 copy of the mask would hold 8 bytes per input byte.
+    token_at = np.flatnonzero(token_start)
+    tokens_per_line = np.diff(
+        np.searchsorted(token_at, line_starts), append=token_at.size
     )
     two_tokens = tokens_per_line == 2
     if not bool(np.all(two_tokens | (tokens_per_line == 0))):

@@ -2,9 +2,9 @@
 
 This module is the out-of-core substrate under the BSP solvers
 (ROADMAP item 2).  A built graph is partitioned into ``P`` contiguous
-vertex ranges of balanced *edge mass* — the ranges come from the same
-searchsorted-on-cumulative-mass computation the multiproc backend uses
-to split sweeps across workers — and each range is persisted as its own
+vertex ranges of balanced *edge mass* — the ranges come from
+:func:`repro.store.csr.balanced_bounds`, the partitioner the array
+backend also splits sweeps with — and each range is persisted as its own
 uncompressed ``.npz`` shard holding:
 
 * the range's **local CSR slice** (``indptr`` rebased to the range, the
@@ -25,8 +25,8 @@ it was sharded from and the engine's memo cache is shared between
 sharded and monolithic runs of the same graph.
 
 :class:`ShardedGraph` mmap-loads shards on demand and keeps them in a
-resident set governed by a hard ``memory_budget_bytes`` with a pluggable
-eviction policy (``"lru"`` / ``"fifo"``).  "Resident" means the summed
+resident set governed by a hard ``memory_budget_bytes``, evicting the
+least recently used shard first.  "Resident" means the summed
 ``nbytes`` of a shard's loaded members; O(n) driver vectors (the
 assembled degree arrays) are deliberately exempt — the budget bounds the
 O(m) adjacency structure, which is what exceeds RAM on massive graphs.
@@ -47,13 +47,13 @@ from typing import Union
 import numpy as np
 
 from ..errors import GraphError, GraphFormatError
+from .csr import balanced_bounds
 from .fingerprint import fingerprint_arrays
 from .snapshot import _load_arrays
 
 __all__ = [
     "SHARD_FORMAT_VERSION",
     "MANIFEST_NAME",
-    "EVICTION_POLICIES",
     "shard_bounds",
     "save_sharded",
     "load_sharded",
@@ -65,9 +65,6 @@ PathLike = Union[str, Path]
 
 SHARD_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-
-#: Supported eviction policies for the resident-shard set.
-EVICTION_POLICIES = ("lru", "fifo")
 
 _UNDIRECTED_MEMBERS = ("indptr", "indices", "boundary_src", "boundary_dst")
 _DIRECTED_MEMBERS = (
@@ -109,13 +106,11 @@ def shard_bounds(cumulative_mass: np.ndarray, parts: int) -> np.ndarray:
     with ``bounds[0] == 0`` and ``bounds[-1] == n``; shard ``i`` owns
     the vertex range ``[bounds[i], bounds[i + 1])``.
 
-    The split reuses the multiproc backend's searchsorted-on-cumulative-
-    mass partitioner (:meth:`~repro.backends.multiproc.MultiprocBackend.
-    _balanced_bounds`), so a shard boundary lands wherever a worker
-    boundary would: equal shares of adjacency slots, not of vertices.
+    The split is :func:`~repro.store.csr.balanced_bounds`, the same
+    partitioner the array backend splits sweeps with, so a shard boundary
+    lands wherever a worker boundary would: equal shares of adjacency
+    slots, not of vertices.
     """
-    from ..backends.multiproc import MultiprocBackend
-
     cumulative = np.ascontiguousarray(cumulative_mass, dtype=np.int64)
     if cumulative.ndim != 1 or cumulative.size == 0:
         raise GraphError("cumulative_mass must be a 1-D array with >= 1 entry")
@@ -126,7 +121,7 @@ def shard_bounds(cumulative_mass: np.ndarray, parts: int) -> np.ndarray:
         raise GraphError(
             f"cannot split {num_vertices} vertices into {parts} shards"
         )
-    return MultiprocBackend._balanced_bounds(cumulative, parts)
+    return balanced_bounds(cumulative, parts)
 
 
 def _shard_payload(graph, kind: str, lo: int, hi: int) -> dict:
@@ -319,7 +314,6 @@ def _validate_manifest(directory: Path, manifest: dict) -> None:
 def load_sharded(
     directory: PathLike,
     memory_budget_bytes: int | None = None,
-    eviction: str = "lru",
 ) -> "ShardedGraph":
     """Open a sharded snapshot directory as a :class:`ShardedGraph`.
 
@@ -348,10 +342,7 @@ def load_sharded(
         raise GraphFormatError(f"{manifest_path}: manifest is not an object")
     _validate_manifest(directory, manifest)
     return ShardedGraph(
-        directory,
-        manifest,
-        memory_budget_bytes=memory_budget_bytes,
-        eviction=eviction,
+        directory, manifest, memory_budget_bytes=memory_budget_bytes
     )
 
 
@@ -398,12 +389,11 @@ class ShardedGraph:
     """Facade over a sharded snapshot: on-demand mmap shards + budget.
 
     ``shard(i)`` returns shard ``i``, loading it if absent and evicting
-    resident shards (``"lru"``: least recently *used* first; ``"fifo"``:
-    least recently *loaded* first) until the summed member bytes fit the
-    hard ``memory_budget_bytes``.  A single shard larger than the budget
-    raises :class:`~repro.errors.GraphError` — the budget is a real
-    ceiling, not advisory.  ``memory_budget_bytes=None`` keeps every
-    touched shard resident.
+    resident shards, least recently used first, until the summed member
+    bytes fit the hard ``memory_budget_bytes``.  A single shard larger
+    than the budget raises :class:`~repro.errors.GraphError` — the
+    budget is a real ceiling, not advisory.  ``memory_budget_bytes=None``
+    keeps every touched shard resident.
 
     ``fingerprint()`` returns the *monolithic* graph fingerprint from
     the manifest, so engine memo-cache keys are identical for sharded
@@ -417,19 +407,12 @@ class ShardedGraph:
         directory: PathLike,
         manifest: dict,
         memory_budget_bytes: int | None = None,
-        eviction: str = "lru",
     ):
-        if eviction not in EVICTION_POLICIES:
-            raise GraphError(
-                f"unknown eviction policy {eviction!r}; "
-                f"choose from {EVICTION_POLICIES}"
-            )
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise GraphError("memory_budget_bytes must be positive or None")
         self._directory = Path(directory)
         self._manifest = manifest
         self.memory_budget_bytes = memory_budget_bytes
-        self.eviction = eviction
         self.bounds = np.asarray(manifest["bounds"], dtype=np.int64)
         self.index_dtype = np.dtype(manifest["index_dtype"])
         self._resident: "OrderedDict[int, GraphShard]" = OrderedDict()
@@ -516,8 +499,7 @@ class ShardedGraph:
             )
         resident = self._resident.get(index)
         if resident is not None:
-            if self.eviction == "lru":
-                self._resident.move_to_end(index)
+            self._resident.move_to_end(index)
             return resident
         arrays = self._load_members(index, _members_for(self.kind))
         shard = GraphShard(

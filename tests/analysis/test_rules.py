@@ -98,6 +98,18 @@ class TestRuleEdgeCases:
         findings = lint_source(source)
         assert [f.rule_id for f in findings] == ["R001"]
 
+    def test_r001_cpu_clocks_flagged(self):
+        source = (
+            "import time\n"
+            "a = time.process_time()\n"
+            "b = time.thread_time()\n"
+            "c = time.thread_time_ns()\n"
+        )
+        findings = lint_source(source)
+        assert [(f.rule_id, f.line) for f in findings] == [
+            ("R001", 2), ("R001", 3), ("R001", 4),
+        ]
+
     def test_r001_datetime_from_import(self):
         source = (
             "from datetime import datetime\n"

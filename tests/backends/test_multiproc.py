@@ -1,23 +1,27 @@
-"""Multiproc backend internals: worker-side state, pool lifecycle, splits.
+"""Multiproc backend internals: task state, pool lifecycle, thread rules, splits.
 
-The load-bearing regression here is the frozen-CSR contract across the
-process boundary: workers must *rebuild* the lazy scratch buffers from
-the shared-memory CSR views (never unpickle parent state), and both the
-CSR views and the rebuilt scratch must come out read-only — the same
-guarantees lint rule R005 and ``tests/kernels/test_scratch.py`` pin for
-the single-process path.  ``MultiprocBackend.inspect_workers`` reports
-each worker's actual in-process view, so the assertions below are
-against live spawned workers, not a simulation.
+The backend runs range tasks on a thread pool over the caller's own
+arrays, so the load-bearing regressions are what a task sees (the
+caller's frozen CSR, scratch the caller built, cached range layouts),
+the frozen-CSR contract (a dispatched sweep writes nothing into the
+graph), exception propagation out of a task, and two caller threads
+sharing one backend.
 """
 
-import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.backends.multiproc import MultiprocBackend, _layout
-from repro.errors import BackendError
+from repro.backends import multiproc as multiproc_module
+from repro.backends.multiproc import MultiprocBackend
+from repro.backends.numpy_backend import (
+    induced_edge_count_numpy,
+    sweep_values_numpy,
+)
 from repro.graph import chung_lu_undirected
+from repro.store.csr import balanced_bounds
 
 
 @pytest.fixture()
@@ -32,44 +36,166 @@ def graph():
     return chung_lu_undirected(1_200, 6_000, seed=21)
 
 
+def _spy_on_task(monkeypatch, name, seen):
+    """Wrap the range task ``name`` to record what each call of it sees."""
+    task = getattr(multiproc_module, name)
+
+    def spy(graph, *args):
+        seen.append({
+            "thread": threading.current_thread().name,
+            "indptr": graph.indptr,
+            "indices": graph.indices,
+            "scratch": {k: a.flags.writeable for k, a in graph._scratch.items()},
+            "args": args,
+        })
+        return task(graph, *args)
+
+    monkeypatch.setattr(multiproc_module, name, spy)
+
+
 class TestWorkerState:
-    def test_workers_are_separate_processes(self, backend, graph):
-        reports = backend.inspect_workers(graph)
-        pids = {report["pid"] for report in reports}
-        assert len(reports) == 2
-        assert os.getpid() not in pids
-        assert len(pids) == 2
+    def test_csr_views_are_shared_memory_and_frozen(self, backend, monkeypatch):
+        # A task reads the caller's CSR buffers themselves, never a copy,
+        # and a frozen graph stays frozen inside the pool threads.
+        graph = chung_lu_undirected(1_200, 6_000, seed=21)
+        graph.indptr.setflags(write=False)
+        graph.indices.setflags(write=False)
+        seen: list = []
+        _spy_on_task(monkeypatch, "_full_sweep_range", seen)
+        h = graph.degrees().astype(np.int64)
+        assert np.array_equal(
+            backend.sweep_values(graph, h), sweep_values_numpy(graph, h)
+        )
+        assert len(seen) == 2
+        for view in seen:
+            assert view["thread"].startswith("repro-backend")
+            assert view["indptr"] is graph.indptr
+            assert view["indices"] is graph.indices
+            assert view["indptr"].flags.writeable is False
+            assert view["indices"].flags.writeable is False
 
-    def test_csr_views_are_shared_memory_and_frozen(self, backend, graph):
-        for report in backend.inspect_workers(graph):
-            assert report["indptr_is_shm_view"]
-            assert report["indices_is_shm_view"]
-            assert report["indptr_writeable"] is False
-            assert report["indices_writeable"] is False
+    def test_scratch_rebuilt_locally_and_read_only(self, backend, monkeypatch):
+        # The calling thread builds every scratch buffer a task reads
+        # before dispatch: each task finds it already built and frozen,
+        # and no task adds a buffer of its own.
+        graph = chung_lu_undirected(1_200, 6_000, seed=21)
+        assert graph._scratch == {}
+        seen: list = []
+        _spy_on_task(monkeypatch, "_subset_sweep_range", seen)
+        _spy_on_task(monkeypatch, "_count_slot_range", seen)
+        h = graph.degrees().astype(np.int64)
+        graph._scratch.clear()
+        subset = np.arange(0, graph.num_vertices, 2)
+        assert np.array_equal(
+            backend.sweep_values(graph, h, subset),
+            sweep_values_numpy(graph, h, subset),
+        )
+        subset_views = len(seen)
+        member = np.zeros(graph.num_vertices, dtype=bool)
+        member[subset] = True
+        assert backend.induced_edge_count(graph, member) == (
+            induced_edge_count_numpy(graph, member)
+        )
+        assert subset_views == 2 and len(seen) == 4
+        for view in seen[:subset_views]:
+            assert "degrees" in view["scratch"]
+        for view in seen[subset_views:]:
+            assert {"degrees", "heads"} <= set(view["scratch"])
+        for view in seen:
+            assert view["thread"].startswith("repro-backend")
+            for key, writeable in view["scratch"].items():
+                assert writeable is False, f"task scratch {key!r} is writeable"
+        assert set(graph._scratch) == set(seen[-1]["scratch"])
 
-    def test_scratch_rebuilt_locally_and_read_only(self, backend, graph):
-        # Populate the parent's scratch cache first: if worker graphs
-        # were pickled from the parent, this is exactly the stale state
-        # they would arrive with.
-        graph.heads()
-        graph.hindex_bins()
+    def test_range_layouts_cached_across_sweeps(self, backend, graph, monkeypatch):
+        seen: list = []
+        _spy_on_task(monkeypatch, "_full_sweep_range", seen)
         h = graph.degrees().astype(np.int64)
         backend.sweep_values(graph, h)
-        for report in backend.inspect_workers(graph):
-            # The full-sweep path needs degrees/heads-free range layouts
-            # only; whatever scratch *was* built in the worker must be
-            # frozen, mirroring the parent-side contract.
-            for key, writeable in report["scratch_writeable"].items():
-                assert writeable is False, f"worker scratch {key!r} is writeable"
-            assert report["range_cache_keys"], "worker never cached a range layout"
+        first = [view["args"][-1] for view in seen]
+        cached = backend._layouts[graph.fingerprint()]
+        seen.clear()
+        backend.sweep_values(graph, h)
+        second = [view["args"][-1] for view in seen]
+        # Re-sweeping hands the tasks the very layouts built the first time.
+        assert backend._layouts[graph.fingerprint()] is cached
+        assert len(backend._layouts) == 1
+        assert len(first) == len(cached) == 2
+        assert sorted(map(id, first)) == sorted(map(id, second))
+        assert sorted(map(id, first)) == sorted(map(id, cached))
 
-    def test_range_layouts_cached_across_sweeps(self, backend, graph):
+
+class TestThreadRules:
+    def test_dispatched_sweep_leaves_csr_and_scratch_frozen(self, backend):
+        graph = chung_lu_undirected(1_200, 6_000, seed=21)
+        graph.indptr.setflags(write=False)
+        graph.indices.setflags(write=False)
+        indptr, indices = graph.indptr.copy(), graph.indices.copy()
         h = graph.degrees().astype(np.int64)
         backend.sweep_values(graph, h)
-        first = [r["range_cache_keys"] for r in backend.inspect_workers(graph)]
-        backend.sweep_values(graph, h)
-        second = [r["range_cache_keys"] for r in backend.inspect_workers(graph)]
-        assert first == second  # re-sweeping adds no new layouts
+        backend.sweep_values(graph, h, np.arange(0, graph.num_vertices, 3))
+        backend.induced_edge_count(graph, np.ones(graph.num_vertices, dtype=bool))
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, indices)
+        assert graph.indptr.flags.writeable is False
+        assert graph.indices.flags.writeable is False
+        assert {"degrees", "heads"} <= set(graph._scratch)
+        for key, array in graph._scratch.items():
+            assert array.flags.writeable is False, f"scratch {key!r} is writeable"
+
+    def test_task_exception_propagates_and_backend_recovers(
+        self, backend, graph, monkeypatch
+    ):
+        h = graph.degrees().astype(np.int64)
+        failure = RuntimeError("task failed")
+
+        def explode(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(multiproc_module, "segment_h_index_numpy", explode)
+        with pytest.raises(RuntimeError) as caught:
+            backend.sweep_values(graph, h)
+        assert caught.value is failure
+        monkeypatch.undo()
+        assert np.array_equal(
+            backend.sweep_values(graph, h), sweep_values_numpy(graph, h)
+        )
+
+    def test_two_caller_threads_share_one_backend(self):
+        # More workers than cores and a short switch interval, so the
+        # callers interleave inside the backend; a lost counter update
+        # or a torn layout-cache entry would show below.
+        backend = MultiprocBackend(workers=4, inline_slot_cutoff=0)
+        graphs = [chung_lu_undirected(900, 5_400, seed=s) for s in (3, 4)]
+        rounds = 20
+        results: dict = {}
+
+        def sweep(index):
+            g = graphs[index]
+            h = g.degrees().astype(np.int64)
+            expected = sweep_values_numpy(g, h)
+            results[index] = all(
+                np.array_equal(backend.sweep_values(g, h), expected)
+                for _ in range(rounds)
+            )
+
+        callers = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(caller.is_alive() for caller in callers)
+            assert results == {0: True, 1: True}
+            assert backend.perf_snapshot()["dispatched_calls"] == 2 * rounds
+            assert len(backend._layouts) == 2
+        finally:
+            backend.close()
 
 
 class TestPoolLifecycle:
@@ -77,47 +203,28 @@ class TestPoolLifecycle:
         h = graph.degrees().astype(np.int64)
         expected = backend.sweep_values(graph, h)
         backend.close()
-        assert backend._procs == []
+        assert backend._pool is None
         again = backend.sweep_values(graph, h)
         assert np.array_equal(expected, again)
 
-    def test_close_is_idempotent(self, backend):
+    def test_close_is_idempotent(self, backend, graph):
+        backend.sweep_values(graph, graph.degrees().astype(np.int64))
         backend.close()
         backend.close()
+        assert backend._pool is None
 
-    def test_graph_lru_evicts_and_stays_correct(self):
-        backend = MultiprocBackend(workers=2, inline_slot_cutoff=0)
-        try:
-            graphs = [
-                chung_lu_undirected(300, 1_200, seed=s) for s in range(9)
-            ]
-            expected = [
-                g.degrees().astype(np.int64) for g in graphs
-            ]
-            for g, h in zip(graphs, expected):
-                backend.sweep_values(g, h)
-            assert len(backend._graphs) == 8  # LRU cap
-            # The evicted (first) graph still computes correctly after
-            # re-publication.
-            h0 = expected[0]
-            from repro.backends.numpy_backend import sweep_values_numpy
-
-            assert np.array_equal(
-                backend.sweep_values(graphs[0], h0),
-                sweep_values_numpy(graphs[0], h0),
-            )
-        finally:
-            backend.close()
-
-    def test_worker_failure_raises_backend_error_and_resets(self, backend, graph):
-        backend._ensure_pool()
-        # An unknown task kind makes the worker answer with an error
-        # tuple; the pool must surface it as BackendError.
-        shared = backend._prepare(graph)
-        backend._seq += 1
-        backend._conns[0].send(("explode", shared.meta, 0, 1, backend._seq))
-        with pytest.raises(BackendError, match="unknown worker task"):
-            backend._collect([backend._conns[0]])
+    def test_graph_lru_evicts_and_stays_correct(self, backend):
+        graphs = [chung_lu_undirected(300, 1_200, seed=s) for s in range(9)]
+        for g in graphs:
+            backend.sweep_values(g, g.degrees().astype(np.int64))
+        assert len(backend._layouts) == 8  # layout cache cap
+        assert graphs[0].fingerprint() not in backend._layouts
+        # The evicted (first) graph still sweeps correctly, re-laid out.
+        h0 = graphs[0].degrees().astype(np.int64)
+        assert np.array_equal(
+            backend.sweep_values(graphs[0], h0), sweep_values_numpy(graphs[0], h0)
+        )
+        assert len(backend._layouts) == 8
 
 
 class TestPerfAccounting:
@@ -129,7 +236,7 @@ class TestPerfAccounting:
             snapshot = backend.perf_snapshot()
             assert snapshot["inline_calls"] == 1
             assert snapshot["dispatched_calls"] == 0
-            assert backend._procs == []  # never spawned
+            assert backend._pool is None  # never created
         finally:
             backend.close()
 
@@ -153,7 +260,7 @@ class TestBalancedBounds:
         degrees = np.concatenate([[1000], np.ones(1000, dtype=np.int64)])
         cumulative = np.zeros(degrees.size + 1, dtype=np.int64)
         np.cumsum(degrees, out=cumulative[1:])
-        bounds = MultiprocBackend._balanced_bounds(cumulative, 2)
+        bounds = balanced_bounds(cumulative, 2)
         assert bounds[0] == 0 and bounds[-1] == degrees.size
         assert bounds[1] <= 1  # the hub alone saturates worker 0
 
@@ -163,28 +270,13 @@ class TestBalancedBounds:
         cumulative = np.zeros(degrees.size + 1, dtype=np.int64)
         np.cumsum(degrees, out=cumulative[1:])
         for parts in (1, 2, 3, 7):
-            bounds = MultiprocBackend._balanced_bounds(cumulative, parts)
+            bounds = balanced_bounds(cumulative, parts)
             assert bounds.size == parts + 1
             assert bounds[0] == 0 and bounds[-1] == degrees.size
             assert np.all(np.diff(bounds) >= 0)
 
     def test_more_workers_than_vertices(self):
         cumulative = np.array([0, 3, 5], dtype=np.int64)
-        bounds = MultiprocBackend._balanced_bounds(cumulative, 8)
+        bounds = balanced_bounds(cumulative, 8)
         assert bounds[0] == 0 and bounds[-1] == 2
         assert np.all(np.diff(bounds) >= 0)
-
-
-class TestSharedLayout:
-    def test_layout_fields_are_eight_byte_aligned(self):
-        for dtype in (np.dtype(np.int32), np.dtype(np.int64)):
-            layout = _layout(1001, 4242, dtype)
-            for name, (offset, _, _) in layout.items():
-                if name == "__total__":  # total byte size, not a field
-                    continue
-                assert offset % 8 == 0, f"{name} misaligned at {offset}"
-
-    def test_h_block_uses_graph_index_dtype(self):
-        layout = _layout(10, 20, np.dtype(np.int32))
-        assert layout["h"][2] == np.dtype(np.int32)
-        assert layout["out"][2] == np.dtype(np.int64)

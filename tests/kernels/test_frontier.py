@@ -217,21 +217,6 @@ class TestClampedSweeps:
         np.minimum(warm, graph.degrees().astype(np.int64), out=warm)
         assert np.array_equal(self.converge_sync(graph, warm.copy(), True), cores)
 
-    def test_clamped_inplace_sweep_matches(self, graph):
-        cores = self.cores(graph)
-        rng = np.random.default_rng(1)
-        warm = cores + rng.integers(0, 3, size=cores.size)
-        np.minimum(warm, graph.degrees().astype(np.int64), out=warm)
-        h = warm.copy()
-        dirty = None
-        for _ in range(graph.num_vertices + 2):
-            h, dirty, processed = frontier_inplace_sweep(
-                graph, h, dirty=dirty, clamp=True
-            )
-            if not dirty.any():
-                break
-        assert np.array_equal(h, cores)
-
     def test_clamp_never_exceeds_the_start(self, graph):
         start = graph.degrees().astype(np.int64) + 5  # a loose upper bound
         h, active = frontier_synchronous_sweep(graph, start.copy(), clamp=True)

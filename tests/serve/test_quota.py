@@ -42,6 +42,14 @@ class TestTokenBucket:
         bucket.try_take(10.0)
         assert bucket.peek(5.0) == pytest.approx(1.0)
 
+    def test_clock_step_back_does_not_refill_twice(self):
+        bucket = TokenBucket(rate=1.0, burst=1, now=0.0)
+        assert bucket.try_take(10.0) == 0.0  # spends the only token
+        assert bucket.try_take(5.0) == pytest.approx(1.0)
+        # Back at t=10 no time has passed since the token was spent.
+        assert bucket.try_take(10.0) == pytest.approx(1.0)
+        assert bucket.try_take(11.0) == 0.0
+
     @pytest.mark.parametrize("rate, burst", [(0.0, 1), (-1.0, 1), (1.0, 0)])
     def test_invalid_shapes_rejected(self, rate, burst):
         with pytest.raises(ValueError):

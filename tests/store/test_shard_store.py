@@ -8,7 +8,6 @@ import pytest
 from repro.errors import GraphError, GraphFormatError
 from repro.graph.generators import chung_lu_directed, chung_lu_undirected
 from repro.store.shard import (
-    EVICTION_POLICIES,
     MANIFEST_NAME,
     GraphShard,
     ShardedGraph,
@@ -183,17 +182,6 @@ class TestBudgetAndEviction:
         sharded.shard(2)
         assert set(sharded.resident_shards()) == {0, 2}
 
-    def test_fifo_evicts_oldest_load(self, undirected, tmp_path):
-        save_sharded(undirected, tmp_path, shards=4)
-        budget = sum(sorted(self._sizes(tmp_path))[-2:]) + 8
-        sharded = load_sharded(tmp_path, memory_budget_bytes=budget,
-                               eviction="fifo")
-        sharded.shard(0)
-        sharded.shard(1)
-        sharded.shard(0)  # a hit does not refresh under fifo
-        sharded.shard(2)
-        assert set(sharded.resident_shards()) == {1, 2}
-
     def test_single_oversized_shard_raises(self, undirected, tmp_path):
         save_sharded(undirected, tmp_path, shards=2)
         budget = min(self._sizes(tmp_path)) - 1
@@ -201,11 +189,8 @@ class TestBudgetAndEviction:
         with pytest.raises(GraphError, match="memory_budget_bytes"):
             sharded.shard(int(np.argmax(self._sizes(tmp_path))))
 
-    def test_bad_policy_and_budget_rejected(self, undirected, tmp_path):
+    def test_bad_budget_rejected(self, undirected, tmp_path):
         save_sharded(undirected, tmp_path, shards=2)
-        assert "lru" in EVICTION_POLICIES and "fifo" in EVICTION_POLICIES
-        with pytest.raises(GraphError):
-            load_sharded(tmp_path, eviction="mru")
         with pytest.raises(GraphError):
             load_sharded(tmp_path, memory_budget_bytes=0)
 
