@@ -9,6 +9,7 @@ regressions in the implementation itself.
 import numpy as np
 import pytest
 
+from repro.algorithms.undirected.charikar import charikar_peel
 from repro.bench.kernels import (
     _run_tail_frontier,
     _run_tail_lexsort,
@@ -64,6 +65,14 @@ def test_kernel_tail_lexsort_reference(benchmark, medium_undirected):
     h_warm, _ = _warm_tail_state(medium_undirected)
     _, sweeps = benchmark(_run_tail_lexsort, medium_undirected, h_warm)
     assert sweeps >= 1
+
+
+def test_kernel_charikar_peel(benchmark, medium_undirected):
+    """Charikar's serial min-degree peel plus its best-prefix scan, 100k edges."""
+    result = benchmark.pedantic(
+        charikar_peel, args=(medium_undirected,), rounds=3, iterations=1
+    )
+    assert result.iterations == medium_undirected.num_vertices
 
 
 def test_kernel_pkmc_end_to_end(benchmark, medium_undirected):

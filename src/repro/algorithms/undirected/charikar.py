@@ -2,10 +2,11 @@
 
 Iteratively removes a minimum-degree vertex and returns the densest of the
 n intermediate subgraphs.  O(m + n) with the Batagelj–Zaversnik bucket
-queue.  This is the classic baseline every densest-subgraph paper starts
-from; the ICDE'23 paper's Section I explains why its strong sequential
-dependency (every removal must update neighbour degrees before the next
-minimum can be found) makes it a poor candidate for parallelisation.
+peel of :mod:`repro.graph.peeling`.  This is the classic baseline every
+densest-subgraph paper starts from; the ICDE'23 paper's Section I explains
+why its strong sequential dependency (every removal must update neighbour
+degrees before the next minimum can be found) makes it a poor candidate
+for parallelisation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
-from ...graph.peeling import MinDegreeBucketQueue
+from ...graph.peeling import densest_prefix, min_degree_order
 from ...graph.undirected import UndirectedGraph
 from ...runtime.simruntime import SimRuntime
 from ..undirected.common import charge_serial_peel
@@ -36,36 +37,15 @@ def charikar_peel(
     """
     if graph.num_edges == 0:
         raise EmptyGraphError("UDS is undefined on a graph without edges")
-    n = graph.num_vertices
-    queue = MinDegreeBucketQueue(graph.degrees())
-    alive = np.ones(n, dtype=bool)
-    edges_left = graph.num_edges
-    removal_order = np.empty(n, dtype=np.int64)
-
-    best_density = edges_left / n
-    best_prefix = 0  # number of removals already performed at the best point
-    for step in range(n):
-        v, _ = queue.pop_min()
-        removal_order[step] = v
-        alive[v] = False
-        for u in graph.neighbors(v):
-            if alive[u]:
-                queue.decrease_key(u)
-                edges_left -= 1
-        vertices_left = n - step - 1
-        if vertices_left > 0:
-            density = edges_left / vertices_left
-            if density > best_density:
-                best_density = density
-                best_prefix = step + 1
-
-    vertices = np.sort(removal_order[best_prefix:])
+    order = min_degree_order(graph)
+    best_prefix, best_density = densest_prefix(graph, order)
+    vertices = np.sort(order[best_prefix:])
     if runtime is not None:
         charge_serial_peel(runtime, graph)
     return UDSResult(
         algorithm="Charikar",
         vertices=vertices,
         density=best_density,
-        iterations=n,
+        iterations=graph.num_vertices,
         simulated_seconds=runtime.now if runtime is not None else 0.0,
     )

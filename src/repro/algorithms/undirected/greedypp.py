@@ -15,6 +15,7 @@ import numpy as np
 
 from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
+from ...graph.peeling import densest_prefix
 from ...graph.undirected import UndirectedGraph
 from ...runtime.simruntime import SimRuntime
 from ...core.results import UDSResult
@@ -26,39 +27,42 @@ __all__ = ["greedypp_uds"]
 def _one_load_aware_peel(
     graph: UndirectedGraph, loads: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One peel ordered by load + degree; returns (best set, density, loads)."""
+    """One peel ordered by load + degree; returns (best set, density, loads).
+
+    The heap loop runs over Python lists and reads adjacency through a
+    ``memoryview`` of ``graph.indices``; the keys are the same doubles the
+    float64 arrays would hold, so the removal order is unchanged.
+    """
     n = graph.num_vertices
-    degree = graph.degrees().astype(np.int64)
-    alive = np.ones(n, dtype=bool)
-    edges_left = graph.num_edges
+    degree = graph.degrees().tolist()
+    load = loads.tolist()
+    new_loads = list(load)
+    alive = [True] * n
+    indptr = graph.indptr.tolist()
+    adjacency = memoryview(graph.indices)
     # Lazy-deletion heap keyed by load + current degree.
-    heap = [(float(loads[v] + degree[v]), v) for v in range(n)]
+    heap = [(load[v] + degree[v], v) for v in range(n)]
     heapq.heapify(heap)
-    removal_order = np.empty(n, dtype=np.int64)
-    new_loads = loads.copy()
-    best_density = edges_left / n
-    best_prefix = 0
-    step = 0
+    removal_order = []
     while heap:
         key, v = heapq.heappop(heap)
-        if not alive[v] or key != float(loads[v] + degree[v]):
+        if not alive[v] or key != load[v] + degree[v]:
             continue
         alive[v] = False
-        new_loads[v] = loads[v] + degree[v]
-        removal_order[step] = v
-        for u in graph.neighbors(v):
+        new_loads[v] = key
+        removal_order.append(v)
+        for u in adjacency[indptr[v]:indptr[v + 1]]:
             if alive[u]:
-                degree[u] -= 1
-                edges_left -= 1
-                heapq.heappush(heap, (float(loads[u] + degree[u]), u))
-        step += 1
-        vertices_left = n - step
-        if vertices_left > 0:
-            density = edges_left / vertices_left
-            if density > best_density:
-                best_density = density
-                best_prefix = step
-    return np.sort(removal_order[best_prefix:]), best_density, new_loads
+                d = degree[u] - 1
+                degree[u] = d
+                heapq.heappush(heap, (load[u] + d, u))
+    order = np.array(removal_order, dtype=np.int64)
+    best_prefix, best_density = densest_prefix(graph, order)
+    return (
+        np.sort(order[best_prefix:]),
+        best_density,
+        np.array(new_loads, dtype=np.float64),
+    )
 
 
 @register_solver(

@@ -12,7 +12,7 @@ as a *warning*: the fix is usually to vectorize through
 
 A loop is only flagged when the *enclosing function* contains no charge
 event at all: per-iteration metering (``while num_alive > 0: ...
-rt.parfor(...)``) and the bulk-charge idiom (``charikar_peel`` runs its
+rt.parfor(...)``) and the bulk-charge idiom (``greedypp_uds`` runs each
 Python peel loop, then prices the whole pass at once with
 ``charge_serial_peel``) both stay clean — the rule targets functions
 whose graph-sized work is entirely invisible to the cost model.

@@ -1,4 +1,4 @@
-"""Graph substrate: CSR graphs, builders, I/O, generators, peeling queue.
+"""Graph substrate: CSR graphs, builders, I/O, generators, min-degree peel.
 
 This package is self-contained — every other subsystem (the core PKMC/PWC
 algorithms, all baselines, the benchmark harness) builds on these types and
@@ -30,7 +30,7 @@ from .io import (
     save_npz,
     write_edgelist,
 )
-from .peeling import MinDegreeBucketQueue
+from .peeling import min_degree_order
 from .sampling import DEFAULT_FRACTIONS, edge_fraction_series, sample_edges
 from .stats import (
     DirectedGraphSummary,
@@ -51,7 +51,7 @@ __all__ = [
     "weakly_connected_components",
     "GraphBuilder",
     "DirectedGraphBuilder",
-    "MinDegreeBucketQueue",
+    "min_degree_order",
     "read_undirected_edgelist",
     "read_directed_edgelist",
     "edgelist_from_string",

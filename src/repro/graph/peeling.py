@@ -1,78 +1,89 @@
-"""The bucket queue behind the serial peeling algorithms.
+"""The serial min-degree peel behind Charikar's 2-approximation.
 
-:class:`MinDegreeBucketQueue` is the classic Batagelj–Zaversnik bin-sort
-structure giving O(m) full core decomposition and O(m + n) Charikar peeling.
+:func:`min_degree_order` is the classic Batagelj–Zaversnik bin-sort peel:
+O(m + n) removal of a minimum-degree vertex at every step.
+:func:`densest_prefix` picks the densest suffix of any removal order in one
+vectorized pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GraphError
+from .undirected import UndirectedGraph
 
-__all__ = ["MinDegreeBucketQueue"]
+__all__ = ["min_degree_order", "densest_prefix"]
 
 
-class MinDegreeBucketQueue:
-    """Bin-sorted vertex queue keyed by (decrease-only) degree.
+def min_degree_order(graph: UndirectedGraph) -> np.ndarray:
+    """Return the vertices in the order a min-degree peel removes them.
 
-    Vertices live in an array sorted by current key; ``pop_min`` removes a
-    vertex of globally minimum key, ``decrease_key`` moves a vertex one
-    bucket down in O(1).  This is the engine behind the O(m) core
-    decomposition of Batagelj & Zaversnik used by several baselines.
+    Vertices start in a stable sort by degree, grouped into buckets by
+    current degree.  Each step pops the first unpopped vertex; each alive
+    neighbour whose degree drops swaps with the front of its bucket and
+    that bucket's start moves one slot right, so the pop order (and its
+    tie-breaking) is a pure function of the CSR.
+
+    The loop runs over Python lists, and adjacency is read through a
+    ``memoryview`` of ``graph.indices`` so no per-graph list of 2m ints
+    is built.
     """
+    n = graph.num_vertices
+    degrees = graph.degrees()
+    order = np.argsort(degrees, kind="stable")
+    pos_array = np.empty(n, dtype=np.int64)
+    pos_array[order] = np.arange(n)
+    # bin_start[k]: first slot of the bucket of key k (#vertices with key < k).
+    bin_start = np.zeros(int(degrees.max(initial=0)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(degrees)[:-1], out=bin_start[1:])
 
-    def __init__(self, keys: np.ndarray):
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size and keys.min() < 0:
-            raise GraphError("bucket queue keys must be non-negative")
-        n = keys.size
-        self._key = keys.copy()
-        order = np.argsort(keys, kind="stable")
-        self._vert = order.astype(np.int64)          # vertices sorted by key
-        self._pos = np.empty(n, dtype=np.int64)      # position of v in _vert
-        self._pos[order] = np.arange(n)
-        max_key = int(keys.max(initial=0))
-        counts = np.bincount(keys, minlength=max_key + 2)
-        self._bin_start = np.zeros(max_key + 2, dtype=np.int64)
-        np.cumsum(counts[:-1], out=self._bin_start[1:])
-        self._head = 0                               # first not-yet-popped slot
+    vert = order.tolist()
+    pos = pos_array.tolist()
+    key = degrees.tolist()
+    bins = bin_start.tolist()
+    indptr = graph.indptr.tolist()
+    adjacency = memoryview(graph.indices)
+    for head in range(n):
+        v = vert[head]
+        # Vertex u is unpopped iff pos[u] > head.  An unpopped neighbour of
+        # the vertex just popped still counts that edge, so its key is >= 1.
+        for u in adjacency[indptr[v]:indptr[v + 1]]:
+            p = pos[u]
+            if p > head:
+                k = key[u]
+                front = bins[k]
+                if front <= head:  # the bucket's first slots are popped
+                    front = head + 1
+                w = vert[front]
+                if w != u:
+                    vert[front] = u
+                    vert[p] = w
+                    pos[u] = front
+                    pos[w] = p
+                bins[k] = front + 1
+                key[u] = k - 1
+    return np.array(vert, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return self._vert.size - self._head
 
-    def key(self, v: int) -> int:
-        """Return the current key of ``v``."""
-        return int(self._key[v])
+def densest_prefix(graph: UndirectedGraph, order: np.ndarray) -> tuple[int, float]:
+    """Return ``(k, density)`` of the densest graph left after ``k`` pops.
 
-    def pop_min(self) -> tuple[int, int]:
-        """Remove and return ``(vertex, key)`` with the minimum key."""
-        if self._head >= self._vert.size:
-            raise GraphError("pop from an empty bucket queue")
-        v = int(self._vert[self._head])
-        key = int(self._key[v])
-        self._head += 1
-        return v, key
-
-    def peek_min_key(self) -> int:
-        """Return the minimum key without popping."""
-        if self._head >= self._vert.size:
-            raise GraphError("peek on an empty bucket queue")
-        return int(self._key[self._vert[self._head]])
-
-    def decrease_key(self, v: int) -> None:
-        """Decrease the key of ``v`` by one (no-op if already popped/zero)."""
-        pos = self._pos[v]
-        if pos < self._head:
-            return  # already removed from the queue
-        key = self._key[v]
-        if key == 0:
-            return
-        bucket_front = max(int(self._bin_start[key]), self._head)
-        front_vertex = int(self._vert[bucket_front])
-        if front_vertex != v:
-            # Swap v with the first vertex of its bucket.
-            self._vert[bucket_front], self._vert[pos] = v, front_vertex
-            self._pos[v], self._pos[front_vertex] = bucket_front, pos
-        self._bin_start[key] = bucket_front + 1
-        self._key[v] = key - 1
+    ``order`` is a removal order of all ``n`` vertices; ``k`` ranges over
+    ``0 … n − 1``.  An edge leaves at pop ``min(rank[u], rank[v])``, so
+    counting those pops over the adjacency slots (each edge twice) and
+    halving the running sum gives the edges removed by every prefix.  Each
+    density is the correctly rounded quotient ``edges_left / vertices_left``
+    and ``argmax`` keeps the first maximum, so ``k`` and ``density`` equal
+    a serial scan that updates its best on a strict ``>``.
+    """
+    n = graph.num_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    leave = rank[graph.indices]
+    np.minimum(leave, np.repeat(rank, graph.degrees()), out=leave)
+    removed = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.bincount(leave, minlength=n)[:-1], out=removed[1:])
+    removed //= 2
+    density = (graph.num_edges - removed) / (n - np.arange(n))
+    k = int(np.argmax(density))
+    return k, float(density[k])

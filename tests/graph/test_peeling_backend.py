@@ -2,7 +2,7 @@
 
 Two halves: the array backend must be *irrelevant* to peeling results
 (bit-identical under numpy and multiproc), and the peeling module must
-stay free of backend dispatch — its bucket-queue loop is data-dependent
+stay free of backend dispatch — its bucket peel is data-dependent
 and strictly sequential, so routing it through the pool would change
 removal order and break bit-identity.
 """
@@ -17,7 +17,7 @@ from repro.engine import ExecutionContext
 from repro.engine import run as engine_run
 from repro.graph import peeling
 from repro.graph.generators import chung_lu_undirected
-from repro.graph.peeling import MinDegreeBucketQueue
+from repro.graph.peeling import min_degree_order
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +38,8 @@ class TestBackendIrrelevance:
         assert result.vertices.dtype == reference.vertices.dtype
 
     def test_bucket_queue_order_is_deterministic(self, graph):
-        orders = []
-        for _ in range(2):
-            queue = MinDegreeBucketQueue(graph.degrees())
-            orders.append([queue.pop_min()[0] for _ in range(20)])
-        assert orders[0] == orders[1]
+        orders = [min_degree_order(graph) for _ in range(2)]
+        assert np.array_equal(orders[0], orders[1])
 
 
 class TestStaysInline:
