@@ -15,7 +15,7 @@ Quick start::
     print(densest_subgraph(g))            # PKMC: the k*-core
 """
 
-from .api import DDS_METHODS, UDS_METHODS, densest_subgraph, directed_densest_subgraph
+from .api import densest_subgraph, directed_densest_subgraph
 from .core.results import DDSResult, UDSResult
 from .engine import ExecutionContext, RunReport, SolverSpec
 from .errors import (
@@ -40,8 +40,6 @@ __version__ = "1.0.0"
 __all__ = [
     "densest_subgraph",
     "directed_densest_subgraph",
-    "UDS_METHODS",
-    "DDS_METHODS",
     "UDSResult",
     "DDSResult",
     "ExecutionContext",

@@ -2,14 +2,7 @@
 
 from .binary_search import kstar_binary_search_uds
 from .charikar import charikar_peel
-from .clique_density import (
-    brute_force_triangle_densest,
-    total_triangles,
-    triangle_counts,
-    triangle_densest_peel,
-)
 from .coreexact import coreexact_uds
-from .density_friendly import density_friendly_decomposition, density_profile
 from .exact import brute_force_uds, exact_uds_goldberg
 from .greedypp import greedypp_uds
 from .local import local_core_decomposition, local_uds
@@ -22,15 +15,9 @@ __all__ = [
     "charikar_peel",
     "kstar_binary_search_uds",
     "coreexact_uds",
-    "density_friendly_decomposition",
-    "density_profile",
     "edge_support",
     "truss_decomposition",
     "max_truss_uds",
-    "triangle_counts",
-    "total_triangles",
-    "triangle_densest_peel",
-    "brute_force_triangle_densest",
     "exact_uds_goldberg",
     "brute_force_uds",
     "greedypp_uds",

@@ -166,19 +166,6 @@ class CFG:
         return seen
 
 
-def _negate(guard: Guard | None) -> Guard | None:
-    if guard is None:
-        return None
-    kind, name = guard
-    opposite = {
-        "is_none": "not_none",
-        "not_none": "is_none",
-        "truthy": "falsy",
-        "falsy": "truthy",
-    }
-    return (opposite[kind], name)
-
-
 def branch_guards(test: ast.expr) -> tuple[Guard | None, Guard | None]:
     """Return ``(then_guard, else_guard)`` established by ``test``.
 

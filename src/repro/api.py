@@ -17,26 +17,10 @@ through :func:`repro.engine.run`, so every result carries a structured
 from __future__ import annotations
 
 from .core.results import DDSResult, UDSResult
-from .engine import ExecutionContext, get_solver, methods_view
+from .engine import ExecutionContext, get_solver
 from .engine import run as _engine_run
 
-__all__ = [
-    "densest_subgraph",
-    "directed_densest_subgraph",
-    "UDS_METHODS",
-    "DDS_METHODS",
-]
-
-#: Live view of the registered UDS solvers.
-#:
-#: .. deprecated:: kept as a compatibility shim over the solver registry;
-#:    use :func:`repro.engine.get_solver` / :func:`repro.engine.run` (or
-#:    ``repro-dsd --list-methods``) in new code.
-UDS_METHODS = methods_view("uds")
-
-#: Live view of the registered DDS solvers (same deprecation note as
-#: :data:`UDS_METHODS`).
-DDS_METHODS = methods_view("dds")
+__all__ = ["densest_subgraph", "directed_densest_subgraph"]
 
 
 def densest_subgraph(
@@ -48,12 +32,12 @@ def densest_subgraph(
     """Find a densest subgraph of an undirected graph.
 
     ``method`` selects the algorithm (see ``repro-dsd --list-methods`` or
-    :data:`UDS_METHODS`); the default PKMC is the paper's parallel
-    2-approximation.  ``num_threads`` configures the simulated parallel
-    runtime; extra keyword ``options`` are forwarded to the algorithm
-    (e.g. ``epsilon`` for ``"pbu"``).  A ``runtime=`` option is honoured
-    for runtime-capable solvers and ignored by serial ones, exactly as
-    :func:`repro.engine.run` documents.
+    :func:`repro.engine.solver_names`); the default PKMC is the paper's
+    parallel 2-approximation.  ``num_threads`` configures the simulated
+    parallel runtime; extra keyword ``options`` are forwarded to the
+    algorithm (e.g. ``epsilon`` for ``"pbu"``).  A ``runtime=`` option is
+    honoured for runtime-capable solvers and ignored by serial ones,
+    exactly as :func:`repro.engine.run` documents.
     """
     spec = get_solver("uds", method)
     ctx = ExecutionContext(num_threads=num_threads)
@@ -69,8 +53,8 @@ def directed_densest_subgraph(
     """Find a densest (S, T)-subgraph of a directed graph.
 
     ``method`` selects the algorithm (see ``repro-dsd --list-methods`` or
-    :data:`DDS_METHODS`); the default PWC is the paper's parallel
-    2-approximation based on the w*-induced subgraph.
+    :func:`repro.engine.solver_names`); the default PWC is the paper's
+    parallel 2-approximation based on the w*-induced subgraph.
     """
     spec = get_solver("dds", method)
     ctx = ExecutionContext(num_threads=num_threads)

@@ -41,7 +41,6 @@ __all__ = [
     "backend_name",
     "get_backend",
     "resolve_backend_name",
-    "set_backend",
     "use_backend",
 ]
 
@@ -57,8 +56,8 @@ _REGISTRY: dict[str, tuple[str, str]] = {
 
 _instances: dict[str, ArrayBackend] = {}
 _lock = threading.Lock()
-# Process-wide override stack: ``set_backend`` pushes a session default,
-# ``use_backend`` pushes/pops around a block.  Empty -> env/default.
+# Override stack: ``use_backend`` pushes/pops around a block.  Empty ->
+# env/default.
 _override: list[str] = []
 
 
@@ -70,9 +69,9 @@ def _env_name() -> str | None:
 def resolve_backend_name(name: str | None = None) -> str:
     """Resolve a possibly-absent backend name through the precedence chain.
 
-    ``name`` (the context kwarg) wins over any :func:`set_backend` /
-    :func:`use_backend` override, which wins over ``REPRO_BACKEND``,
-    which wins over the ``numpy`` default.  Unknown names raise
+    ``name`` (the context kwarg) wins over an enclosing
+    :func:`use_backend` block, which wins over ``REPRO_BACKEND``, which
+    wins over the ``numpy`` default.  Unknown names raise
     :class:`~repro.errors.BackendError` listing the registry.
     """
     resolved = (
@@ -106,14 +105,6 @@ def get_backend(name: str | None = None) -> ArrayBackend:
 def backend_name() -> str:
     """Name the next kernel call would dispatch to."""
     return resolve_backend_name()
-
-
-def set_backend(name: str | None) -> None:
-    """Install (or with ``None`` clear) a process-wide backend override."""
-    _override.clear()
-    if name is not None:
-        get_backend(name)  # validate eagerly
-        _override.append(resolve_backend_name(name))
 
 
 @contextmanager

@@ -174,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.output is not None:
         args.output.mkdir(parents=True, exist_ok=True)
+    failures = 0
     for name in requested:
         started = time.perf_counter()  # repro-lint: disable=R001 (real wall-clock measurement)
         result = ALL_EXPERIMENTS[name]()
@@ -187,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                 text = f"{text}\n\n{chart}"
         print(text)
         print(f"[{name} regenerated in {elapsed:.1f}s wall time]")
-        failures = 0
         if args.verify:
             from .expectations import check_result
 
@@ -202,9 +202,7 @@ def main(argv: list[str] | None = None) -> int:
                 from .serialization import save_json
 
                 save_json(result, args.output / f"{name}.json")
-        if failures:
-            return 1
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

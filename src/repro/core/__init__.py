@@ -22,7 +22,7 @@ from .winduced import (
     winduced_subgraph,
     wstar_subgraph,
 )
-from .xycore import XYCore, max_y_for_x, xy_core
+from .xycore import XYCore, xy_core
 
 __all__ = [
     "pkmc",
@@ -41,7 +41,6 @@ __all__ = [
     "WStarResult",
     "XYCore",
     "xy_core",
-    "max_y_for_x",
     "derive_cn_pair_divisor",
     "derive_cn_pair_collapse",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from ..graph.directed import DirectedGraph
 from ..runtime.simruntime import SimRuntime
 
-__all__ = ["XYCore", "xy_core", "max_y_for_x"]
+__all__ = ["XYCore", "xy_core"]
 
 
 @dataclass
@@ -112,60 +112,3 @@ def xy_core(
     t = np.flatnonzero(din > 0)
     return XYCore(x=x, y=y, s=s, t=t, edge_mask=alive, rounds=rounds)
 
-
-def max_y_for_x(
-    graph: DirectedGraph,
-    x: int,
-    edge_mask: np.ndarray | None = None,
-    runtime: SimRuntime | None = None,
-) -> tuple[int, int]:
-    """Return ``(y, rounds)``: the largest y such that an [x, y]-core exists.
-
-    Used by the PXY baseline.  Implemented as the classic peel: first
-    enforce the out-degree constraint x, then repeatedly record the minimum
-    alive in-degree as a candidate y and peel the vertices attaining it,
-    re-enforcing the x constraint after every batch.  Returns y = 0 when no
-    [x, 1]-core exists.
-    """
-    alive = (
-        np.ones(graph.num_edges, dtype=bool)
-        if edge_mask is None
-        else edge_mask.copy()
-    )
-    src, dst = graph.edge_src, graph.edge_dst
-    dout, din = _alive_degrees(graph, alive)
-    best_y = 0
-    rounds = 0
-    while True:
-        # Enforce the out-degree >= x constraint to a fixpoint.
-        while True:
-            alive_ids = np.flatnonzero(alive)
-            if alive_ids.size == 0:
-                return best_y, rounds
-            bad = dout[src[alive_ids]] < x
-            rounds += 1
-            if runtime is not None:
-                runtime.parfor(
-                    float(alive_ids.size), atomic_ops=int(np.count_nonzero(bad))
-                )
-            if not bad.any():
-                break
-            dead_ids = alive_ids[bad]
-            alive[dead_ids] = False
-            np.subtract.at(dout, src[dead_ids], 1)
-            np.subtract.at(din, dst[dead_ids], 1)
-        # All alive sources now satisfy x; the minimum alive in-degree is a
-        # feasible y (an [x, y_min]-core exists right now).
-        t_degrees = din[dst[alive_ids]]
-        y_min = int(t_degrees.min())
-        best_y = max(best_y, y_min)
-        # Peel every T-vertex attaining the minimum and continue searching
-        # for a deeper (larger-y) core.
-        bad = t_degrees == y_min
-        dead_ids = alive_ids[bad]
-        rounds += 1
-        if runtime is not None:
-            runtime.parfor(float(alive_ids.size), atomic_ops=int(dead_ids.size))
-        alive[dead_ids] = False
-        np.subtract.at(dout, src[dead_ids], 1)
-        np.subtract.at(din, dst[dead_ids], 1)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Literal, Union
+from typing import Literal
 
-from ..errors import DatasetError, GraphFormatError
+from ..errors import DatasetError
 from ..graph.directed import DirectedGraph
 from ..graph.generators import chung_lu_directed, planted_st_subgraph
 from ..graph.undirected import UndirectedGraph
@@ -38,7 +37,6 @@ __all__ = [
     "get_spec",
     "load_undirected",
     "load_directed",
-    "load_cached",
 ]
 
 
@@ -186,70 +184,3 @@ def load_directed(abbr: str) -> DirectedGraph:
         seed=spec.seed,
     )
 
-
-def load_cached(
-    abbr: str,
-    cache_dir: Union[str, Path],
-    shards: int | None = None,
-    memory_budget_bytes: int | None = None,
-) -> UndirectedGraph | DirectedGraph:
-    """Disk-cached replica load backed by binary snapshots.
-
-    The first call generates the replica and writes a snapshot
-    (``<abbr>.npz``) into ``cache_dir``; later calls — including in
-    fresh processes — mmap-load the snapshot instead of regenerating,
-    which is the fast path for repeated experiment runs. A corrupt or
-    stale snapshot is deleted and rebuilt.
-
-    ``shards=P`` returns a budgeted out-of-core
-    :class:`~repro.store.shard.ShardedGraph` instead, cached as its own
-    ``<abbr>.shards<P>/`` directory next to the monolithic snapshot (the
-    two fingerprints agree, so they share engine memo entries);
-    ``memory_budget_bytes`` caps the facade's resident shard bytes.
-    """
-    from ..store.snapshot import load_snapshot, save_snapshot
-
-    spec = get_spec(abbr)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    if shards is not None:
-        return _load_cached_sharded(
-            abbr, cache_dir, shards, memory_budget_bytes
-        )
-    path = cache_dir / f"{abbr}.npz"
-    if path.exists():
-        try:
-            return load_snapshot(path)
-        except GraphFormatError:
-            path.unlink()  # corrupt/truncated cache entry: rebuild below
-    graph = (
-        load_undirected(abbr)
-        if spec.kind == "undirected"
-        else load_directed(abbr)
-    )
-    save_snapshot(graph, path)
-    return graph
-
-
-def _load_cached_sharded(
-    abbr: str,
-    cache_dir: Path,
-    shards: int,
-    memory_budget_bytes: int | None,
-):
-    """The ``shards=P`` arm of :func:`load_cached` (rebuild-on-corrupt)."""
-    import shutil
-
-    from ..store.shard import load_sharded, save_sharded
-
-    directory = cache_dir / f"{abbr}.shards{shards}"
-    if directory.exists():
-        try:
-            return load_sharded(
-                directory, memory_budget_bytes=memory_budget_bytes
-            )
-        except GraphFormatError:
-            shutil.rmtree(directory)  # corrupt shard cache: rebuild below
-    graph = load_cached(abbr, cache_dir)
-    save_sharded(graph, directory, shards=shards)
-    return load_sharded(directory, memory_budget_bytes=memory_budget_bytes)

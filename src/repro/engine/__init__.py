@@ -26,11 +26,7 @@ See ``docs/architecture.md`` for the full design.
 
 from __future__ import annotations
 
-from ..store.memo import (
-    ResultCache,
-    disable_default_cache,
-    enable_default_cache,
-)
+from ..store.memo import ResultCache
 from .context import ExecutionContext
 from .report import (
     RunReport,
@@ -49,20 +45,16 @@ from .spec import (
     temporary_solver,
     unregister_solver,
 )
-from .views import MethodsView, methods_view
 
 __all__ = [
     "ExecutionContext",
     "ResultCache",
-    "enable_default_cache",
-    "disable_default_cache",
     "RunReport",
     "ShardRecord",
     "ServeRecord",
     "StreamRecord",
     "stamp_report",
     "SolverSpec",
-    "MethodsView",
     "run",
     "resolve_solver",
     "registry_table",
@@ -72,5 +64,4 @@ __all__ = [
     "get_solver",
     "solver_names",
     "solver_specs",
-    "methods_view",
 ]

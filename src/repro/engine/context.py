@@ -37,10 +37,11 @@ class ExecutionContext:
     run into result memoization (:mod:`repro.store.memo`): hits are
     served without re-executing the solver, keyed on the graph
     fingerprint plus every behavior-relevant context field; when unset,
-    the process-wide default cache (if any) applies.  ``backend``
-    selects the array backend (:mod:`repro.backends`) the solver's
-    kernels execute on for the duration of the run — ``None`` defers to
-    the ``REPRO_BACKEND`` environment variable, then the numpy default.
+    the run is not cached.  ``backend`` selects the array backend
+    (:mod:`repro.backends`) the solver's kernels execute on for the
+    duration of the run — ``None`` defers to an enclosing
+    :func:`~repro.backends.use_backend` block, then the ``REPRO_BACKEND``
+    environment variable, then the numpy default.
     Outputs are bit-identical whichever backend runs, so the field only
     affects wall-clock (and is recorded in the
     :class:`~repro.engine.report.RunReport`).

@@ -19,7 +19,7 @@ from ..backends import resolve_backend_name, use_backend
 from ..errors import EngineError
 from ..graph.directed import DirectedGraph
 from ..graph.undirected import UndirectedGraph
-from ..store.memo import get_default_cache, make_cache_key
+from ..store.memo import make_cache_key
 from ..store.shard import ShardedGraph
 from .context import ExecutionContext
 from .report import RunReport, stamp_report
@@ -93,12 +93,12 @@ def run(
     if explicit_runtime is not None and ctx.runtime is None:
         ctx.runtime = explicit_runtime
 
-    # Result memoization (repro.store.memo): opt-in via ctx.cache or the
-    # process-wide default.  The key covers the graph's content
-    # fingerprint, the solver identity, every behaviour-relevant context
-    # field and the merged options; a pre-supplied runtime or unhashable
-    # option makes the run uncacheable (key is None).
-    cache = ctx.cache if ctx.cache is not None else get_default_cache()
+    # Result memoization (repro.store.memo): opt-in via ctx.cache.  The
+    # key covers the graph's content fingerprint, the solver identity,
+    # every behaviour-relevant context field and the merged options; a
+    # pre-supplied runtime or unhashable option makes the run uncacheable
+    # (key is None).
+    cache = ctx.cache
     cache_key = None
     if cache is not None and hasattr(graph, "fingerprint"):
         cache_key = make_cache_key(

@@ -4,9 +4,8 @@ Every solver module under ``repro.algorithms``, ``repro.core`` and
 ``repro.distributed`` declares itself with ``@register_solver(...)`` at
 import time; nothing in the library hand-maintains a method dict any
 more.  The registry is the single source of truth for dispatch
-(:func:`repro.engine.run`), the public method tables
-(:data:`repro.api.UDS_METHODS` / :data:`repro.api.DDS_METHODS` are thin
-views over it), the CLI's method list, and the benchmark harness.
+(:func:`repro.engine.run`), :func:`solver_names`, the CLI's method list,
+and the benchmark harness.
 
 Lint rule R006 (:mod:`repro.analysis.rules.registry`) enforces the
 convention: solver-shaped functions must carry the decorator, and no

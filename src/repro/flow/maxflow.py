@@ -205,7 +205,3 @@ class FlowNetwork:
                     seen[v] = True
                     queue.append(v)
         return np.flatnonzero(seen)
-
-    def arc_capacity(self, arc_id: int) -> float:
-        """Return the residual capacity currently left on an arc."""
-        return self._cap[arc_id]

@@ -10,7 +10,6 @@ from .components import (
     component_of_vertices,
     connected_components,
     densest_component,
-    weakly_connected_components,
 )
 from .directed import DirectedGraph
 from .generators import (
@@ -23,7 +22,6 @@ from .generators import (
     powerlaw_weights,
 )
 from .io import (
-    edgelist_from_string,
     load_npz,
     read_directed_edgelist,
     read_undirected_edgelist,
@@ -31,11 +29,10 @@ from .io import (
     write_edgelist,
 )
 from .peeling import min_degree_order
-from .sampling import DEFAULT_FRACTIONS, edge_fraction_series, sample_edges
+from .sampling import DEFAULT_FRACTIONS, edge_fraction_series
 from .stats import (
     DirectedGraphSummary,
     GraphSummary,
-    degree_histogram,
     powerlaw_exponent_estimate,
     summarize,
     summarize_directed,
@@ -48,13 +45,11 @@ __all__ = [
     "connected_components",
     "component_of_vertices",
     "densest_component",
-    "weakly_connected_components",
     "GraphBuilder",
     "DirectedGraphBuilder",
     "min_degree_order",
     "read_undirected_edgelist",
     "read_directed_edgelist",
-    "edgelist_from_string",
     "write_edgelist",
     "save_npz",
     "load_npz",
@@ -65,13 +60,11 @@ __all__ = [
     "planted_dense_subgraph",
     "planted_st_subgraph",
     "powerlaw_weights",
-    "sample_edges",
     "edge_fraction_series",
     "DEFAULT_FRACTIONS",
     "GraphSummary",
     "DirectedGraphSummary",
     "summarize",
     "summarize_directed",
-    "degree_histogram",
     "powerlaw_exponent_estimate",
 ]

@@ -1,4 +1,4 @@
-"""Connected components (undirected; weak components for digraphs).
+"""Connected components of undirected graphs.
 
 The paper notes that a k*-core (and likewise an [x*, y*]-core) "may have
 multiple connected components, and any one of them can be regarded as a
@@ -12,7 +12,6 @@ from collections import deque
 
 import numpy as np
 
-from .directed import DirectedGraph
 from .undirected import UndirectedGraph
 
 __all__ = [
@@ -77,7 +76,3 @@ def densest_component(
             best_vertices = component
     return best_vertices, best_density
 
-
-def weakly_connected_components(graph: DirectedGraph) -> np.ndarray:
-    """Label every vertex with its weak-component id."""
-    return connected_components(graph.to_undirected())

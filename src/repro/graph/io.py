@@ -17,7 +17,6 @@ the same dataset.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO, Union
 
@@ -145,8 +144,3 @@ def load_npz(
     """
     return store_snapshot.load_snapshot(path, mmap=mmap)
 
-
-def edgelist_from_string(text: str, directed: bool = False):
-    """Parse an edge list held in a string; convenience for tests/examples."""
-    reader = read_directed_edgelist if directed else read_undirected_edgelist
-    return reader(io.StringIO(text))

@@ -17,30 +17,11 @@ from ..errors import GraphError
 from .directed import DirectedGraph
 from .undirected import UndirectedGraph
 
-__all__ = ["sample_edges", "edge_fraction_series", "DEFAULT_FRACTIONS"]
+__all__ = ["edge_fraction_series", "DEFAULT_FRACTIONS"]
 
 DEFAULT_FRACTIONS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 Graph = UndirectedGraph | DirectedGraph
-
-
-def sample_edges(graph: Graph, fraction: float, seed: int | None = None) -> Graph:
-    """Return the subgraph keeping a uniform ``fraction`` of the edges.
-
-    The vertex set is unchanged (isolated vertices remain), matching the
-    paper's "subgraphs induced by these edges" protocol where density is
-    driven by the retained edges.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise GraphError(f"fraction must be in [0, 1], got {fraction}")
-    if fraction == 1.0:
-        return graph
-    rng = np.random.default_rng(seed)
-    m = graph.num_edges
-    keep_count = int(round(m * fraction))
-    mask = np.zeros(m, dtype=bool)
-    mask[rng.permutation(m)[:keep_count]] = True
-    return graph.subgraph_from_edge_mask(mask)
 
 
 def edge_fraction_series(

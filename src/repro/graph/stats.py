@@ -18,7 +18,6 @@ __all__ = [
     "DirectedGraphSummary",
     "summarize",
     "summarize_directed",
-    "degree_histogram",
     "powerlaw_exponent_estimate",
 ]
 
@@ -88,12 +87,6 @@ def summarize_directed(graph: DirectedGraph) -> DirectedGraphSummary:
         max_in_degree=graph.max_in_degree(),
         mean_degree=(2.0 * graph.num_edges / n) if n else 0.0,
     )
-
-
-def degree_histogram(graph: UndirectedGraph) -> np.ndarray:
-    """Return ``hist`` where ``hist[k]`` counts vertices of degree k."""
-    degrees = graph.degrees()
-    return np.bincount(degrees, minlength=int(degrees.max(initial=0)) + 1)
 
 
 def powerlaw_exponent_estimate(degrees: np.ndarray, d_min: int = 2) -> float:

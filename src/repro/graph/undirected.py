@@ -135,9 +135,10 @@ class UndirectedGraph:
         """Build CSR from deduplicated, lex-sorted (u < v) edge rows.
 
         Every call site hands over :func:`~repro.store.csr.unique_pairs`
-        output or a CSR-ordered ``edges()`` slice, so the O(m)
-        counting-sort builder applies (``repro.store.csr``); it verifies
-        sortedness and falls back to the lexsort reference otherwise.
+        output, a CSR-ordered ``edges()`` slice or a monotone relabel of
+        one, so the O(m) counting-sort builder applies
+        (``repro.store.csr``); it verifies sortedness and raises
+        :class:`~repro.errors.GraphError` otherwise.
         """
         dtype = index_dtype(num_vertices,
                             2 * canon.shape[0] + num_vertices)

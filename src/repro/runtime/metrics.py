@@ -38,15 +38,6 @@ class TimeBreakdown:
             + self.serial
         )
 
-    def merge(self, other: "TimeBreakdown") -> None:
-        """Accumulate another breakdown into this one in place."""
-        self.work += other.work
-        self.imbalance += other.imbalance
-        self.spawn += other.spawn
-        self.barrier += other.barrier
-        self.atomic += other.atomic
-        self.serial += other.serial
-
     def as_dict(self) -> dict[str, float]:
         """Return the breakdown as a plain dict (for reports)."""
         return {

@@ -17,8 +17,8 @@
 * :mod:`repro.store.memo` — the fingerprint-keyed LRU result cache used
   by :func:`repro.engine.run`.
 
-The first three modules are dependency-free (pure NumPy) because the
-graph containers import them at class-definition time; ``reader`` /
+The first three modules need only NumPy and :mod:`repro.errors`, because
+the graph containers import them at class-definition time; ``reader`` /
 ``snapshot`` / ``memo`` sit *above* the containers and are therefore
 re-exported lazily to keep imports acyclic.
 """
@@ -31,7 +31,6 @@ from .compact import (
     forced_int64,
     index_dtype,
     int64_forced,
-    narrow_csr,
     set_force_int64,
 )
 from .csr import (
@@ -43,7 +42,6 @@ from .fingerprint import fingerprint_arrays
 
 __all__ = [
     "index_dtype",
-    "narrow_csr",
     "forced_int64",
     "int64_forced",
     "set_force_int64",
@@ -64,9 +62,6 @@ __all__ = [
     "GraphShard",
     "ResultCache",
     "make_cache_key",
-    "get_default_cache",
-    "enable_default_cache",
-    "disable_default_cache",
 ]
 
 # Lazily-resolved exports from the modules that depend on repro.graph.
@@ -85,9 +80,6 @@ _LAZY = {
     "GraphShard": "shard",
     "ResultCache": "memo",
     "make_cache_key": "memo",
-    "get_default_cache": "memo",
-    "enable_default_cache": "memo",
-    "disable_default_cache": "memo",
 }
 
 

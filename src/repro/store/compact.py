@@ -15,14 +15,13 @@ benchmark's "before" leg.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "INT32_MAX",
     "index_dtype",
-    "narrow_csr",
     "set_force_int64",
     "int64_forced",
     "forced_int64",
@@ -77,18 +76,3 @@ def index_dtype(num_vertices: int, max_entry: int) -> np.dtype:
     if num_vertices <= INT32_MAX and max_entry <= INT32_MAX:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
-
-
-def narrow_csr(
-    indptr: np.ndarray, indices: np.ndarray, num_vertices: int,
-    max_entry: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cast a CSR pair to the dtype chosen by :func:`index_dtype`.
-
-    No-ops (no copy) when the arrays already have the target dtype.
-    """
-    dtype = index_dtype(num_vertices, max_entry)
-    return (
-        np.ascontiguousarray(indptr, dtype=dtype),
-        np.ascontiguousarray(indices, dtype=dtype),
-    )

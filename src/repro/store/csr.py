@@ -38,6 +38,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..errors import GraphError
+
 __all__ = [
     "balanced_bounds",
     "csr_from_sorted_canonical",
@@ -171,8 +173,8 @@ def csr_from_sorted_canonical(
 
     O(m): degrees via ``bincount``, ``indptr`` via prefix sum, out-arc
     slots by arithmetic on the already-sorted rows, in-arc slots via one
-    stable radix ``argsort`` on the single tail key. Falls back to the
-    lexsort reference if the input is (unexpectedly) not lex-sorted.
+    stable radix ``argsort`` on the single tail key. Rows that are not
+    lex-sorted raise :class:`~repro.errors.GraphError`.
 
     ``dtype`` selects the output index dtype (default int64); the
     result is identical to :func:`reference_csr_from_canonical` cast to
@@ -191,8 +193,10 @@ def csr_from_sorted_canonical(
     edge_u = np.ascontiguousarray(canon[:, 0])
     edge_v = np.ascontiguousarray(canon[:, 1])
     if not _is_lex_sorted(edge_u, edge_v):
-        indptr, indices = reference_csr_from_canonical(num_vertices, canon)
-        return (indptr.astype(out_dtype), indices.astype(out_dtype))
+        raise GraphError(
+            "csr_from_sorted_canonical needs lex-sorted (u, v) rows; "
+            "dedup and sort them with unique_pairs first"
+        )
 
     out_deg = np.bincount(edge_u, minlength=num_vertices)
     in_deg = np.bincount(edge_v, minlength=num_vertices)

@@ -18,8 +18,7 @@ are cloned on every hit (arrays, extras and report included) so callers
 can never corrupt the cached copy.
 
 Caching is opt-in: pass a :class:`ResultCache` via
-``ExecutionContext(cache=...)`` or install a process-wide default with
-:func:`enable_default_cache`.
+``ExecutionContext(cache=...)``.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from typing import Any, Callable, Hashable, Optional
 
 import numpy as np
 
-__all__ = [
-    "ResultCache",
-    "make_cache_key",
-    "get_default_cache",
-    "enable_default_cache",
-    "disable_default_cache",
-]
+__all__ = ["ResultCache", "make_cache_key"]
 
 
 def _hashable(value: Any) -> Optional[Hashable]:
@@ -255,44 +248,3 @@ class ResultCache:
         self.expired = 0
         self.invalidated = 0
 
-
-_DEFAULT_CACHE: Optional[ResultCache] = None
-
-
-def get_default_cache() -> Optional[ResultCache]:
-    """The process-wide default cache, or None when caching is off."""
-    return _DEFAULT_CACHE
-
-
-def enable_default_cache(
-    max_entries: int = 128, ttl: Optional[float] = None
-) -> ResultCache:
-    """Install the process-wide default result cache, idempotently.
-
-    When a default cache is already installed *with the same shape*
-    (equal ``max_entries`` and ``ttl``), that cache is returned
-    unchanged — its entries and hit/miss counters survive, so a library
-    that re-enables caching mid-session cannot silently drop another
-    component's warm entries. Requesting a *different* shape is an
-    explicit reconfiguration: the old cache (and everything in it) is
-    replaced by a fresh one. Callers holding the old object keep a
-    working private cache; only the process-wide default moves.
-    Per-:class:`~repro.engine.context.ExecutionContext` caches are
-    independent of the default and are never touched by this function.
-    """
-    global _DEFAULT_CACHE
-    existing = _DEFAULT_CACHE
-    if (
-        existing is not None
-        and existing.max_entries == max_entries
-        and existing.ttl == ttl
-    ):
-        return existing
-    _DEFAULT_CACHE = ResultCache(max_entries=max_entries, ttl=ttl)
-    return _DEFAULT_CACHE
-
-
-def disable_default_cache() -> None:
-    """Remove the process-wide default cache (per-context caches remain)."""
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = None

@@ -183,72 +183,3 @@ class TestMaxTrussUDS:
         with pytest.raises(EmptyGraphError):
             max_truss_uds(UndirectedGraph.empty(2))
 
-
-class TestTriangleDensest:
-    def test_counts_on_fig2(self, fig2_graph):
-        from repro.algorithms.undirected import total_triangles, triangle_counts
-
-        counts = triangle_counts(fig2_graph)
-        # The K4 gives each of its 4 vertices 3 triangles; the tail none.
-        assert counts.tolist() == [3, 3, 3, 3, 0, 0, 0, 0]
-        assert total_triangles(fig2_graph) == 4
-
-    def test_counts_match_networkx(self):
-        from repro.algorithms.undirected import triangle_counts
-
-        for seed in range(6):
-            g = gnm_random_undirected(15, 45, seed=seed)
-            counts = triangle_counts(g)
-            nx_graph = nx.Graph(list(map(tuple, g.edges().tolist())))
-            nx_graph.add_nodes_from(range(g.num_vertices))
-            expected = nx.triangles(nx_graph)
-            assert all(counts[v] == expected[v] for v in range(g.num_vertices))
-
-    def test_peel_on_planted_clique(self):
-        from repro.algorithms.undirected import triangle_densest_peel
-
-        graph, core = planted_dense_subgraph(
-            500, 1500, core_size=15, core_probability=1.0, seed=3
-        )
-        result = triangle_densest_peel(graph)
-        assert set(core.tolist()) <= set(result.vertices.tolist())
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_one_third_approximation(self, seed):
-        from repro.algorithms.undirected import (
-            brute_force_triangle_densest,
-            triangle_densest_peel,
-        )
-
-        g = gnm_random_undirected(11, 32, seed=seed)
-        if g.num_edges == 0:
-            return
-        exact = brute_force_triangle_densest(g)
-        if exact.density == 0:
-            return
-        approx = triangle_densest_peel(g)
-        assert approx.density * 3 + 1e-9 >= exact.density
-        assert approx.density <= exact.density + 1e-9
-
-    def test_empty_rejected(self):
-        from repro.algorithms.undirected import triangle_densest_peel
-        from repro.graph import UndirectedGraph
-
-        with pytest.raises(EmptyGraphError):
-            triangle_densest_peel(UndirectedGraph.empty(3))
-
-    def test_triangle_core_vs_edge_core(self):
-        # A near-clique plus a triangle-free dense bipartite block: edge
-        # density may pick the bipartite part, triangle density cannot.
-        from repro.algorithms.undirected import triangle_densest_peel
-        from repro.graph import UndirectedGraph
-
-        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]  # K6
-        # Dense bipartite block on 7..16 (no triangles).
-        left = range(6, 11)
-        right = range(11, 16)
-        edges += [(u, v) for u in left for v in right]
-        g = UndirectedGraph.from_edges(16, edges)
-        result = triangle_densest_peel(g)
-        assert set(result.vertices.tolist()) == set(range(6))

@@ -13,7 +13,6 @@ from repro.backends import (
     backend_name,
     get_backend,
     resolve_backend_name,
-    set_backend,
     use_backend,
 )
 from repro.engine import ExecutionContext, run
@@ -84,12 +83,6 @@ class TestScoping:
         with pytest.raises(RuntimeError):
             with use_backend("multiproc"):
                 raise RuntimeError("boom")
-        assert backend_name() == DEFAULT_BACKEND
-
-    def test_set_backend_installs_and_clears(self):
-        set_backend("multiproc")
-        assert backend_name() == "multiproc"
-        set_backend(None)
         assert backend_name() == DEFAULT_BACKEND
 
 

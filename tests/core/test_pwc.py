@@ -10,10 +10,24 @@ from repro.core import (
     derive_cn_pair_divisor,
     pwc,
     wstar_subgraph,
+    xy_core,
 )
 from repro.errors import EmptyGraphError
 from repro.graph import DirectedGraph, gnm_random_directed, planted_st_subgraph
 from repro.runtime import SimRuntime
+
+
+def max_core_product(graph):
+    """x*·y*: the largest x·y for which an [x, y]-core exists (brute force)."""
+    return max(
+        (
+            x * y
+            for x in range(1, graph.max_out_degree() + 1)
+            for y in range(1, graph.max_in_degree() + 1)
+            if xy_core(graph, x, y).exists
+        ),
+        default=0,
+    )
 
 
 class TestPaperFig4:
@@ -77,16 +91,12 @@ class TestCorrectness:
 
     def test_theorem2_on_random_graphs(self, small_random_directed):
         # w* must equal the maximum x*y over all existing [x, y]-cores.
-        from repro.core import max_y_for_x
-
         for seed in range(8):
             d = small_random_directed(seed, n=9, m=26)
             if d.num_edges == 0:
                 continue
             result = pwc(d)
-            best = max(
-                x * max_y_for_x(d, x)[0] for x in range(1, d.num_edges + 1)
-            )
+            best = max_core_product(d)
             assert result.w_star >= best
             assert result.x * result.y == best
 
@@ -162,13 +172,8 @@ class TestTheorem2Gap:
         return gnm_random_directed(9, 26, seed=13838)
 
     def test_wstar_exceeds_max_product(self, counterexample):
-        from repro.core import max_y_for_x
-
         wstar = wstar_subgraph(counterexample)
-        best = max(
-            x * max_y_for_x(counterexample, x)[0]
-            for x in range(1, counterexample.num_edges + 1)
-        )
+        best = max_core_product(counterexample)
         assert wstar.w_star == 8
         assert best == 6
         assert wstar.w_star > best  # Theorem 2 equality fails here

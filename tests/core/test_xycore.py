@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import max_y_for_x, xy_core
+from repro.core import xy_core
 from repro.graph import DirectedGraph, gnm_random_directed
 
 
@@ -84,33 +84,3 @@ class TestXYCore:
             # The maximal core contains every feasible pair.
             assert core.num_edges >= best_edges
 
-
-class TestMaxYForX:
-    def test_fig4(self, fig4_graph):
-        y, _ = max_y_for_x(fig4_graph, 4)
-        assert y == 3
-
-    def test_no_core_returns_zero(self, fig3_graph):
-        y, _ = max_y_for_x(fig3_graph, 99)
-        assert y == 0
-
-    def test_monotone_in_x(self, small_random_directed):
-        for seed in range(6):
-            d = small_random_directed(seed, n=10, m=30)
-            if d.num_edges == 0:
-                continue
-            ys = [max_y_for_x(d, x)[0] for x in range(1, 6)]
-            assert ys == sorted(ys, reverse=True)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
-    @settings(max_examples=25, deadline=None)
-    def test_agrees_with_existence_checks(self, seed, x):
-        d = gnm_random_directed(9, 28, seed=seed)
-        if d.num_edges == 0:
-            return
-        y, _ = max_y_for_x(d, x)
-        if y == 0:
-            assert not xy_core(d, x, 1).exists
-        else:
-            assert xy_core(d, x, y).exists
-            assert not xy_core(d, x, y + 1).exists

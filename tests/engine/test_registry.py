@@ -33,8 +33,7 @@ EXACT_NAMES = {"pkmc", "pwc", "distributed_pkmc", "distributed_pwc"}
 NAME_SUFFIXES = ("_uds", "_dds")
 
 # Solver-shaped functions deliberately kept out of the registry, with why.
-# (Currently none: triangle_densest_peel optimises a different objective
-# but also does not match the entry-point naming convention.)
+# (Currently none.)
 UNREGISTERED_ALLOWED: set = set()
 
 

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.graph import (
-    DirectedGraph,
     UndirectedGraph,
     component_of_vertices,
     connected_components,
     densest_component,
     gnm_random_undirected,
-    weakly_connected_components,
 )
 
 
@@ -40,13 +38,6 @@ class TestConnectedComponents:
     def test_edgeless_graph_all_singletons(self):
         labels = connected_components(UndirectedGraph.empty(4))
         assert np.unique(labels).size == 4
-
-    def test_weak_components_on_digraph(self):
-        d = DirectedGraph.from_edges(4, [(0, 1), (2, 3)])
-        labels = weakly_connected_components(d)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert labels[0] != labels[2]
 
     def test_matches_networkx(self):
         import networkx as nx

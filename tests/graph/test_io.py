@@ -8,7 +8,6 @@ from repro.errors import GraphFormatError
 from repro.graph import (
     DirectedGraph,
     UndirectedGraph,
-    edgelist_from_string,
     load_npz,
     read_directed_edgelist,
     read_undirected_edgelist,
@@ -55,10 +54,6 @@ class TestReaders:
         path.write_text("0 1\n1 2\n", encoding="utf-8")
         graph, _ = read_undirected_edgelist(path)
         assert graph.num_edges == 2
-
-    def test_edgelist_from_string_helper(self):
-        graph, _ = edgelist_from_string("0 1\n1 2\n", directed=True)
-        assert isinstance(graph, DirectedGraph)
 
 
 class TestWriters:

@@ -9,32 +9,7 @@ from repro.graph import (
     edge_fraction_series,
     gnm_random_directed,
     gnm_random_undirected,
-    sample_edges,
 )
-
-
-class TestSampleEdges:
-    def test_fraction_one_returns_same_object(self):
-        g = gnm_random_undirected(50, 100, seed=0)
-        assert sample_edges(g, 1.0) is g
-
-    def test_edge_count(self):
-        g = gnm_random_undirected(50, 100, seed=0)
-        assert sample_edges(g, 0.4, seed=1).num_edges == 40
-
-    def test_vertex_set_preserved(self):
-        g = gnm_random_undirected(50, 100, seed=0)
-        assert sample_edges(g, 0.2, seed=1).num_vertices == 50
-
-    def test_invalid_fraction(self):
-        g = gnm_random_undirected(10, 20, seed=0)
-        with pytest.raises(GraphError):
-            sample_edges(g, 1.5)
-
-    def test_directed_supported(self):
-        d = gnm_random_directed(40, 120, seed=0)
-        sampled = sample_edges(d, 0.5, seed=2)
-        assert sampled.num_edges == 60
 
 
 class TestSeries:

@@ -6,7 +6,6 @@ import pytest
 from repro.graph import (
     DirectedGraph,
     UndirectedGraph,
-    degree_histogram,
     powerlaw_exponent_estimate,
     summarize,
     summarize_directed,
@@ -41,14 +40,6 @@ class TestSummaries:
 
 
 class TestHistogramAndTail:
-    def test_degree_histogram(self, fig2_graph):
-        hist = degree_histogram(fig2_graph)
-        # degrees: [3, 3, 3, 4, 2, 2, 2, 1]
-        assert hist.tolist() == [0, 1, 3, 3, 1]
-
-    def test_histogram_sums_to_n(self, fig2_graph):
-        assert degree_histogram(fig2_graph).sum() == fig2_graph.num_vertices
-
     def test_hill_estimator_on_pareto(self):
         # Integer (degree-like) Pareto sample; the estimator's d_min - 0.5
         # shift is the standard discrete continuity correction.

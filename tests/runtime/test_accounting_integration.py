@@ -10,7 +10,7 @@ that is their paper-documented behaviour).
 import numpy as np
 import pytest
 
-from repro.core import max_y_for_x, pkmc, pwc, winduced_subgraph, wstar_subgraph, xy_core
+from repro.core import pkmc, pwc, winduced_subgraph, wstar_subgraph, xy_core
 from repro.graph import chung_lu_directed, chung_lu_undirected
 from repro.runtime import SimRuntime
 
@@ -46,13 +46,6 @@ class TestAnswersUnchangedByRuntime:
         assert np.array_equal(bare.edge_mask, timed.edge_mask)
         assert rt.now > 0
         assert rt.metrics.parallel_loops == timed.rounds
-
-    def test_max_y_for_x(self, directed):
-        rt = SimRuntime(4)
-        bare_y, _ = max_y_for_x(directed, 2)
-        timed_y, _ = max_y_for_x(directed, 2, runtime=rt)
-        assert bare_y == timed_y
-        assert rt.now > 0
 
     def test_winduced_subgraph(self, directed):
         rt = SimRuntime(4)

@@ -16,7 +16,6 @@ from repro.engine import run as engine_run
 from repro.errors import AlgorithmError, DatasetError, ServeRejected
 from repro.graph import chung_lu_undirected
 from repro.serve import DsdServer, Query, TenantQuotas, build_query_mix
-from repro.store.memo import enable_default_cache, disable_default_cache
 
 
 class FakeClock:
@@ -305,17 +304,6 @@ class TestCaching:
         assert server.cache_stats() == {
             "hits": 0, "misses": 0, "expired": 0, "entries": 0,
         }
-
-    def test_private_cache_does_not_touch_default_cache(self, graphs):
-        disable_default_cache()
-        shared = enable_default_cache(max_entries=4)
-        try:
-            server = make_server(graphs)
-            server.serve([Query("alpha", "pkmc")])
-            assert len(shared) == 0
-            assert server.cache_stats()["entries"] == 1
-        finally:
-            disable_default_cache()
 
 
 class TestReplayEquivalence:

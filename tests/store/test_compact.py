@@ -8,7 +8,6 @@ from repro.store.compact import (
     forced_int64,
     index_dtype,
     int64_forced,
-    narrow_csr,
     set_force_int64,
 )
 
@@ -53,24 +52,6 @@ class TestEscapeHatch:
         except RuntimeError:
             pass
         assert not int64_forced()
-
-
-class TestNarrowCsr:
-    def test_narrows_int64_pair(self):
-        indptr = np.array([0, 2, 4], dtype=np.int64)
-        indices = np.array([1, 0, 1, 0], dtype=np.int64)
-        narrow_ptr, narrow_idx = narrow_csr(indptr, indices, 2, 4)
-        assert narrow_ptr.dtype == np.dtype(np.int32)
-        assert narrow_idx.dtype == np.dtype(np.int32)
-        assert np.array_equal(narrow_ptr, indptr)
-        assert np.array_equal(narrow_idx, indices)
-
-    def test_no_copy_when_already_target_dtype(self):
-        indptr = np.array([0, 1], dtype=np.int32)
-        indices = np.array([0], dtype=np.int32)
-        narrow_ptr, narrow_idx = narrow_csr(indptr, indices, 1, 1)
-        assert narrow_ptr is indptr
-        assert narrow_idx is indices
 
 
 class TestGraphIntegration:

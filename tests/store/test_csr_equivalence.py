@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.errors import GraphError
 from repro.graph import DirectedGraph, chung_lu_directed, chung_lu_undirected
 from repro.store.compact import forced_int64
 from repro.store.csr import (
@@ -80,14 +81,12 @@ def test_directed_builder_matches_lexsort(num_vertices, canon):
     assert np.array_equal(np.diff(indptr), degrees)
 
 
-def test_unsorted_input_falls_back_to_reference():
+def test_unsorted_rows_raise():
     canon = clique_edges(6)
     rng = np.random.default_rng(0)
     shuffled = canon[rng.permutation(canon.shape[0])]
-    ref = reference_csr_from_canonical(6, shuffled)
-    got = csr_from_sorted_canonical(6, shuffled)
-    assert np.array_equal(got[0], ref[0])
-    assert np.array_equal(got[1], ref[1])
+    with pytest.raises(GraphError, match="lex-sorted"):
+        csr_from_sorted_canonical(6, shuffled)
 
 
 def test_forced_int64_graph_matches_narrowed_graph_structure():

@@ -15,13 +15,7 @@ from repro.core import DynamicKStarCore
 from repro.engine import ExecutionContext
 from repro.engine import run as engine_run
 from repro.graph import UndirectedGraph
-from repro.store.memo import (
-    ResultCache,
-    disable_default_cache,
-    enable_default_cache,
-    get_default_cache,
-    make_cache_key,
-)
+from repro.store.memo import ResultCache, make_cache_key
 
 EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 3)]
 
@@ -167,17 +161,11 @@ class TestEngineIntegration:
         restored = engine_run("pkmc", core.graph(), ExecutionContext(cache=cache))
         assert restored.report.cache_hit
 
-    def test_default_cache_opt_in(self, graph):
-        assert get_default_cache() is None
-        enable_default_cache(max_entries=4)
-        try:
-            cold = engine_run("pkmc", graph, ExecutionContext())
-            hit = engine_run("pkmc", graph, ExecutionContext())
-            assert not cold.report.cache_hit
-            assert hit.report.cache_hit
-        finally:
-            disable_default_cache()
-        assert get_default_cache() is None
+    def test_no_context_cache_means_no_caching(self, graph):
+        cold = engine_run("pkmc", graph, ExecutionContext())
+        again = engine_run("pkmc", graph, ExecutionContext())
+        assert not cold.report.cache_hit
+        assert not again.report.cache_hit
 
     def test_uncacheable_run_with_preset_runtime(self, graph):
         from repro.runtime import SimRuntime
@@ -308,46 +296,6 @@ class TestTtl:
         assert not refreshed.report.cache_hit
         assert refreshed.density == warm.density  # repro-lint: disable=R004 (recompute of identical input)
 
-
-class TestDefaultCacheLifecycle:
-    def teardown_method(self):
-        disable_default_cache()
-
-    def test_compatible_reenable_returns_existing_cache(self, graph):
-        first = enable_default_cache(max_entries=8)
-        warm = engine_run("pkmc", graph, ExecutionContext())
-        hit = engine_run("pkmc", graph, ExecutionContext())
-        assert hit.report.cache_hit
-        again = enable_default_cache(max_entries=8)
-        assert again is first  # entries and counters survive
-        assert len(again) == 1
-        still_hit = engine_run("pkmc", graph, ExecutionContext())
-        assert still_hit.report.cache_hit
-        assert still_hit.density == warm.density  # repro-lint: disable=R004 (cache hits must be bit-identical clones)
-
-    def test_incompatible_reenable_replaces_the_cache(self, graph):
-        first = enable_default_cache(max_entries=8)
-        engine_run("pkmc", graph, ExecutionContext())
-        second = enable_default_cache(max_entries=16)
-        assert second is not first
-        assert get_default_cache() is second
-        assert len(second) == 0  # documented: reshaping drops the entries
-        assert len(first) == 1  # the old object still works privately
-
-    def test_ttl_shape_participates_in_compatibility(self):
-        first = enable_default_cache(max_entries=8, ttl=5.0)
-        assert enable_default_cache(max_entries=8, ttl=5.0) is first
-        assert enable_default_cache(max_entries=8, ttl=9.0) is not first
-
-    def test_context_cache_shadows_default_and_survives_disable(self, graph):
-        enable_default_cache(max_entries=8)
-        private = ResultCache()
-        engine_run("pkmc", graph, ExecutionContext(cache=private))
-        assert len(private) == 1
-        assert len(get_default_cache()) == 0  # ctx cache shadowed it
-        disable_default_cache()
-        hit = engine_run("pkmc", graph, ExecutionContext(cache=private))
-        assert hit.report.cache_hit  # per-context caches outlive the default
 
 class TestFingerprintInvalidation:
     """Streaming-layer invalidation: fingerprint-granular, counted."""

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro import (
-    DDS_METHODS,
-    UDS_METHODS,
     AlgorithmError,
     SimRuntime,
     densest_subgraph,
     directed_densest_subgraph,
 )
+from repro.engine import solver_names
 from repro.graph import DirectedGraph, UndirectedGraph
 
 
@@ -35,13 +34,13 @@ class TestUDSDispatch:
         assert result.vertices.tolist() == [0, 1, 2]
 
     def test_every_method_runs(self, toy_undirected):
-        for method in UDS_METHODS:
+        for method in solver_names("uds"):
             result = densest_subgraph(toy_undirected, method=method)
             assert result.density > 0
 
     def test_every_method_two_ish_approximation(self, toy_undirected):
         exact = densest_subgraph(toy_undirected, method="exact")
-        for method in UDS_METHODS:
+        for method in solver_names("uds"):
             result = densest_subgraph(toy_undirected, method=method)
             assert result.density * 3 + 1e-9 >= exact.density
 
@@ -71,7 +70,7 @@ class TestDDSDispatch:
         assert result.x is not None and result.y is not None
 
     def test_every_method_runs(self, toy_directed):
-        for method in DDS_METHODS:
+        for method in solver_names("dds"):
             result = directed_densest_subgraph(toy_directed, method=method)
             assert result.density > 0
 

@@ -107,6 +107,31 @@ class TestBenchCli:
         assert "Table 7" in out
         assert (tmp_path / "exp6.txt").exists()
 
+    def test_verify_reports_every_experiment_before_failing(
+        self, monkeypatch, capsys
+    ):
+        # A failed claim in the first experiment must not stop the rest:
+        # every requested experiment runs and prints its claim lines, and
+        # the exit code reports the failure at the end.
+        from repro.bench import cli, expectations
+        from repro.bench.reporting import ExperimentResult
+
+        def stub(name):
+            return lambda: ExperimentResult(name, "stub", "stub", ["k"], [[1]])
+
+        def check(name, result):
+            claim = expectations.Expectation(name, f"{name} claim", bool)
+            return [(claim, name != "first")]
+
+        monkeypatch.setattr(
+            cli, "ALL_EXPERIMENTS", {"first": stub("first"), "second": stub("second")}
+        )
+        monkeypatch.setattr(expectations, "check_result", check)
+        assert bench_main(["first", "second", "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] first claim" in out
+        assert "[PASS] second claim" in out
+
     def test_charts_flag(self, capsys):
         # exp6 is a table -> no chart, but the flag must not crash.
         assert bench_main(["exp6", "--charts"]) == 0

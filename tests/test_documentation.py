@@ -50,9 +50,9 @@ def test_every_package_exports_something():
 
 
 def test_api_methods_have_distinct_docstrings():
-    from repro import DDS_METHODS, UDS_METHODS
+    from repro.engine import solver_specs
 
-    for registry in (UDS_METHODS, DDS_METHODS):
-        docs = [fn.__doc__ for fn in registry.values()]
+    for kind in ("uds", "dds"):
+        docs = [spec.func.__doc__ for spec in solver_specs(kind)]
         assert all(doc and doc.strip() for doc in docs)
         assert len(set(docs)) == len(docs)  # no copy-pasted descriptions

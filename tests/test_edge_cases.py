@@ -52,14 +52,14 @@ class TestDegenerateGraphs:
         assert result.density == pytest.approx(1.0)
 
     def test_all_methods_reject_empty(self):
-        from repro import DDS_METHODS, UDS_METHODS
+        from repro.engine import solver_names
 
         g = UndirectedGraph.empty(3)
         d = DirectedGraph.empty(3)
-        for method in UDS_METHODS:
+        for method in solver_names("uds"):
             with pytest.raises((EmptyGraphError, ValueError)):
                 densest_subgraph(g, method=method)
-        for method in DDS_METHODS:
+        for method in solver_names("dds"):
             with pytest.raises((EmptyGraphError, ValueError)):
                 directed_densest_subgraph(d, method=method)
 
