@@ -16,7 +16,6 @@ from ...engine.spec import register_solver
 from ...errors import EmptyGraphError
 from ...graph.undirected import UndirectedGraph
 from ...runtime.simruntime import SimRuntime
-from ...core.hindex import synchronous_sweep
 from ...core.results import UDSResult
 from ...kernels.frontier import frontier_synchronous_sweep
 from .common import induced_density
@@ -28,16 +27,14 @@ def local_core_decomposition(
     graph: UndirectedGraph,
     runtime: SimRuntime | None = None,
     max_iterations: int | None = None,
-    frontier: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Return ``(core_numbers, iterations)`` via h-index iteration.
 
     ``iterations`` counts every sweep including the final one that detects
-    convergence, matching how the paper's Table 6 counts Local.  With
-    ``frontier`` (the default) the convergence tail recomputes — and
-    charges to the runtime — only vertices with a changed neighbour; the
-    per-sweep arrays, and hence the iteration count, are identical to
-    full sweeping.
+    convergence, matching how the paper's Table 6 counts Local.  After the
+    first full sweep, each sweep recomputes — and charges to the runtime —
+    only vertices with a changed neighbour; the per-sweep arrays, and
+    hence the iteration count, are those of full sweeping.
     """
     n = graph.num_vertices
     h = graph.degrees().astype(np.int64)
@@ -45,16 +42,6 @@ def local_core_decomposition(
     sweep_costs = graph.degrees().astype(np.float64) + 4.0
     iterations = 0
     rt = runtime
-    if not frontier:
-        while iterations < limit:
-            if rt is not None:
-                rt.parfor(sweep_costs)
-            new_h = synchronous_sweep(graph, h, runtime=rt)
-            iterations += 1
-            if np.array_equal(new_h, h):
-                break
-            h = new_h
-        return h, iterations
     active: np.ndarray | None = None
     while iterations < limit:
         if rt is not None:
@@ -78,22 +65,18 @@ def local_core_decomposition(
     guarantee="2-approx",
     cost="parallel",
     supports_runtime=True,
-    supports_frontier=True,
     supports_sanitize=True,
 )
 def local_uds(
     graph: UndirectedGraph,
     runtime: SimRuntime | None = None,
-    frontier: bool = True,
 ) -> UDSResult:
     """2-approximate UDS via full core decomposition + max extraction."""
     if graph.num_edges == 0:
         raise EmptyGraphError("UDS is undefined on a graph without edges")
     rt = runtime or SimRuntime(num_threads=1)
     with rt.parallel_region():
-        core_numbers, iterations = local_core_decomposition(
-            graph, runtime=rt, frontier=frontier
-        )
+        core_numbers, iterations = local_core_decomposition(graph, runtime=rt)
         k_star = int(core_numbers.max())
         rt.parfor(np.full(graph.num_vertices, 1.0))  # max-extraction reduction
     vertices = np.flatnonzero(core_numbers == k_star)

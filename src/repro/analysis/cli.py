@@ -12,9 +12,10 @@ Examples::
     repro-lint --list-rules              # print the rule catalogue
 
 Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 findings,
-2 usage error.  With ``--check-baseline`` only findings *not* in the
-baseline gate; ``--write-baseline`` records the current findings and
-exits 0.
+2 usage error, which includes a ``--select``/``--ignore`` id given on
+its own that no rule has (a range may span ids no rule has).  With
+``--check-baseline`` only findings *not* in the baseline gate;
+``--write-baseline`` records the current findings and exits 0.
 """
 
 from __future__ import annotations
@@ -116,6 +117,21 @@ def _split_ids(raw: str | None) -> list[str] | None:
     return ids
 
 
+def _unknown_ids(raw: str | None) -> list[str]:
+    """Ids given on their own in ``raw`` that no registered rule has.
+
+    Ranges are not checked: ``R007-R012`` may span ids no rule has.
+    """
+    if raw is None:
+        return []
+    known = {rule.rule_id for rule in DEFAULT_RULES}
+    parts = (part.strip() for part in raw.split(","))
+    return [
+        part for part in parts
+        if part and not _RANGE_RE.match(part) and part.upper() not in known
+    ]
+
+
 def _print_rules() -> None:
     for rule in DEFAULT_RULES:
         print(f"{rule.rule_id} [{rule.severity:<7}] {rule.title}")
@@ -142,6 +158,15 @@ def main(argv: list[str] | None = None) -> int:
     if not args.paths:
         print("error: no paths given (try `repro-lint src/`)", file=sys.stderr)
         return 2
+    for flag, raw in (("--select", args.select), ("--ignore", args.ignore)):
+        unknown = _unknown_ids(raw)
+        if unknown:
+            print(
+                f"error: {flag} names no rule: {', '.join(unknown)} "
+                "(see --list-rules)",
+                file=sys.stderr,
+            )
+            return 2
 
     if args.contracts_manifest is not None:
         try:

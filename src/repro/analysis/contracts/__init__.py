@@ -11,7 +11,6 @@ dynamically:
 R007      ``supports_runtime=True`` solver with an uncharged return
           path (static twin of the engine's post-run ``EngineError``)
 R008      graph-sized Python loop with no SimRuntime charge
-R009      ``supports_frontier=True`` never consumed (capability drift)
 R010      frozen scratch/CSR buffer escaping into a mutating sink
 R011      memoized result aliased without ``clone_result``
 R012      ``RunReport`` written outside ``repro.engine``
@@ -19,7 +18,6 @@ R012      ``RunReport`` written outside ``repro.engine``
 """
 
 from .cost_loops import UnchargedGraphLoopRule
-from .frontier_capability import FrontierCapabilityRule
 from .memo_clone import MemoCloneRule
 from .report_ownership import ReportOwnershipRule
 from .runtime_charge import RuntimeChargeRule
@@ -29,7 +27,6 @@ from .scratch_escape import ScratchEscapeRule
 CONTRACT_RULES = (
     RuntimeChargeRule,
     UnchargedGraphLoopRule,
-    FrontierCapabilityRule,
     ScratchEscapeRule,
     MemoCloneRule,
     ReportOwnershipRule,
@@ -37,7 +34,6 @@ CONTRACT_RULES = (
 
 __all__ = [
     "CONTRACT_RULES",
-    "FrontierCapabilityRule",
     "MemoCloneRule",
     "ReportOwnershipRule",
     "RuntimeChargeRule",

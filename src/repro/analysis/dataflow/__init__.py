@@ -9,9 +9,9 @@ Three pieces, each usable on its own:
   may-analysis over the CFG (pluggable classifier: scratch taint,
   runtime origins, graph-sized values);
 * :mod:`~repro.analysis.dataflow.index` — the interprocedural
-  :class:`~repro.analysis.dataflow.index.ProjectIndex`: import origins,
-  ``@register_solver`` keyword literals, and fixed-point charge /
-  frontier / sanitize closures over the call graph.
+  :class:`~repro.analysis.dataflow.index.ProjectIndex`:
+  ``@register_solver`` keyword literals and fixed-point charge /
+  sanitize closures over the call graph.
 """
 
 from .cfg import CFG, CFGEdge, CFGNode, branch_guards, build_cfg

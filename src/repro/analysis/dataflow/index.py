@@ -1,14 +1,13 @@
 """Interprocedural project index for the contract rules.
 
 One :class:`ProjectIndex` is built per lint run from every file being
-linted.  It records, per module, the import origins of every name, every
-function definition with the *facts* the contract rules consume
-(runtime-parameter names, direct SimRuntime charges, which callees a
-runtime or frontier argument is forwarded to), and every
-``@register_solver`` decoration with its keyword literals — the static
-mirror of :mod:`repro.engine.spec`'s runtime registry.
+linted.  It records, per module, every function definition with the
+*facts* the contract rules consume (runtime-parameter names, direct
+SimRuntime charges, which callees a runtime argument is forwarded to),
+and every ``@register_solver`` decoration with its keyword literals —
+the static mirror of :mod:`repro.engine.spec`'s runtime registry.
 
-On top of the per-function facts the index computes three fixed-point
+On top of the per-function facts the index computes two fixed-point
 closures over the (simple-name resolved) call graph:
 
 * :meth:`ProjectIndex.function_charges` — may the function charge a
@@ -17,10 +16,6 @@ closures over the (simple-name resolved) call graph:
   to a callee that charges)?  Unknown callees receiving a runtime are
   assumed to charge, so single-file linting stays forgiving while
   whole-project linting is precise.
-* :meth:`ProjectIndex.consumes_frontier` — does the function use the
-  frontier capability (defined in ``kernels/frontier.py``, calls into
-  it, tests its own ``frontier`` parameter, or forwards it to a
-  consumer)?
 * :meth:`ProjectIndex.observes_runtime` — does it reach an
   ``observe_parfor`` call (the sanitizer hook), used to infer
   ``supports_sanitize``?
@@ -62,14 +57,10 @@ _NON_CHARGING_BUILTINS = frozenset(
 #: The capability keywords accepted by ``@register_solver``.
 CAPABILITY_KEYWORDS = (
     "supports_runtime",
-    "supports_frontier",
     "supports_sanitize",
     "supports_seed",
     "supports_cluster",
 )
-
-_FRONTIER_MODULE_SUFFIX = "kernels/frontier.py"
-_FRONTIER_ORIGIN_FRAGMENT = "kernels.frontier"
 
 
 def _annotation_mentions(annotation: ast.expr | None, needle: str) -> bool:
@@ -161,11 +152,7 @@ class FunctionInfo:
     direct_charge: bool = False
     direct_observe: bool = False
     runtime_forwards: tuple[str, ...] = ()
-    has_frontier_param: bool = False
-    frontier_tested: bool = False
-    frontier_forwards: tuple[str, ...] = ()
     calls: tuple[str, ...] = ()
-    in_frontier_module: bool = False
 
     @property
     def runtime_names(self) -> frozenset[str]:
@@ -192,7 +179,6 @@ class ModuleInfo:
 
     path: str
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-    import_origins: dict[str, str] = field(default_factory=dict)
     solvers: list[SolverRegistration] = field(default_factory=list)
 
 
@@ -221,22 +207,7 @@ class _ModuleCollector:
 
     def __init__(self, path: str, tree: ast.Module) -> None:
         self.info = ModuleInfo(path=path)
-        self._in_frontier_module = path.endswith(_FRONTIER_MODULE_SUFFIX)
-        self._collect_imports(tree)
         self._collect_functions(tree, prefix="")
-
-    def _collect_imports(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.info.import_origins[alias.asname or alias.name] = (
-                        node.module
-                    )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.info.import_origins[
-                        alias.asname or alias.name.split(".")[0]
-                    ] = alias.name
 
     def _collect_functions(self, scope: ast.AST, prefix: str) -> None:
         for node in ast.iter_child_nodes(scope):
@@ -260,18 +231,13 @@ class _ModuleCollector:
             params=params,
             optional_runtime=optional,
             definite_runtime=definite,
-            has_frontier_param="frontier" in params,
-            in_frontier_module=self._in_frontier_module,
         )
         runtime_names = info.runtime_names
         runtime_forwards: list[str] = []
-        frontier_forwards: list[str] = []
-        frontier_tested = False
         calls: list[str] = []
         direct_charge = False
         direct_observe = False
 
-        forwarded_loads: set[int] = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 callee = _callee_simple_name(node)
@@ -292,26 +258,10 @@ class _ModuleCollector:
                         continue
                     if expr.id in runtime_names and callee is not None:
                         runtime_forwards.append(callee)
-                    if expr.id == "frontier" and info.has_frontier_param:
-                        forwarded_loads.add(id(expr))
-                        if callee is not None:
-                            frontier_forwards.append(callee)
-        if info.has_frontier_param:
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Name)
-                    and node.id == "frontier"
-                    and isinstance(node.ctx, ast.Load)
-                    and id(node) not in forwarded_loads
-                ):
-                    frontier_tested = True
-                    break
 
         info.direct_charge = direct_charge
         info.direct_observe = direct_observe
         info.runtime_forwards = tuple(runtime_forwards)
-        info.frontier_forwards = tuple(frontier_forwards)
-        info.frontier_tested = frontier_tested
         info.calls = tuple(calls)
 
         for decorator in func.decorator_list:
@@ -350,7 +300,6 @@ class ProjectIndex:
         self._modules: dict[str, ModuleInfo] = {}
         self._by_name: dict[str, list[FunctionInfo]] = {}
         self._charges: dict[int, bool] = {}
-        self._frontier: dict[int, bool] = {}
         self._observes: dict[int, bool] = {}
 
     # ------------------------------------------------------------------
@@ -411,11 +360,6 @@ class ProjectIndex:
         for fn in functions:
             self._charges[id(fn)] = fn.direct_charge
             self._observes[id(fn)] = fn.direct_observe
-            self._frontier[id(fn)] = (
-                fn.in_frontier_module
-                or self._calls_frontier_kernels(fn)
-                or (fn.has_frontier_param and fn.frontier_tested)
-            )
         changed = True
         while changed:
             changed = False
@@ -437,30 +381,6 @@ class ProjectIndex:
                     ):
                         self._observes[id(fn)] = True
                         changed = True
-                if not self._frontier[id(fn)]:
-                    if fn.has_frontier_param and any(
-                        self._callee_consumes_frontier(callee)
-                        for callee in fn.frontier_forwards
-                    ):
-                        self._frontier[id(fn)] = True
-                        changed = True
-
-    def _calls_frontier_kernels(self, fn: FunctionInfo) -> bool:
-        origins = self._modules[fn.module_path].import_origins
-        for callee in set(fn.calls):
-            if _FRONTIER_ORIGIN_FRAGMENT in origins.get(callee, ""):
-                return True
-            if any(
-                c.in_frontier_module for c in self.functions_named(callee)
-            ):
-                return True
-        return False
-
-    def _callee_consumes_frontier(self, callee: str) -> bool:
-        candidates = self.functions_named(callee)
-        if not candidates:  # unknown callee: forgiving
-            return True
-        return any(self._frontier.get(id(c), False) for c in candidates)
 
     def callee_may_charge(self, callee: str) -> bool:
         """May a call to ``callee`` charge a runtime passed to it?
@@ -478,10 +398,6 @@ class ProjectIndex:
     def function_charges(self, fn: FunctionInfo) -> bool:
         """Does ``fn`` (transitively) charge a runtime it holds?"""
         return self._charges.get(id(fn), False)
-
-    def consumes_frontier(self, fn: FunctionInfo) -> bool:
-        """Does ``fn`` use or forward the frontier capability?"""
-        return self._frontier.get(id(fn), False)
 
     def observes_runtime(self, fn: FunctionInfo) -> bool:
         """Does ``fn`` (transitively) reach an ``observe_parfor`` call?"""
@@ -526,7 +442,6 @@ class ProjectIndex:
         has_runtime = bool(fn.runtime_names)
         return {
             "runtime": has_runtime and self.function_charges(fn),
-            "frontier": fn.has_frontier_param and self.consumes_frontier(fn),
             "sanitize": self.observes_runtime(fn),
             "seed": "seed" in fn.params,
             "cluster": "config" in fn.params,
@@ -538,8 +453,8 @@ class ProjectIndex:
         One record per ``@register_solver`` decoration: the declared
         ``supports_*`` keyword literals next to the capabilities the
         dataflow pass inferred from the implementation, plus the list of
-        capability names where the two disagree (review signal — the
-        rules R007/R009 gate the load-bearing directions).
+        capability names where the two disagree (review signal — rule
+        R007 gates the load-bearing direction).
         """
         records = []
         for reg in self.solvers():

@@ -19,7 +19,7 @@ allowed to reach around the public API) are exempt; everywhere else any
 is flagged — assignment or augmented assignment (subscripted or not)
 and the standard container mutators (``.add``, ``.clear``, ``.pop``,
 …).  Reads are fine (they cannot break the invariant) and the public
-mutators (``insert_edge``/``delete_edge`` and the batch forms) are the
+mutators (``insert_edge``/``delete_edge``/``insert_edges``) are the
 sanctioned path.  Deliberate surgery in tests carries an inline
 ``# repro-lint: disable=R015`` with a justification.
 """
@@ -81,7 +81,7 @@ class StreamMutationRule(Rule):
     severity = "error"
     fix_hint = (
         "go through the public mutators (insert_edge/delete_edge, "
-        "insert_edges/delete_edges) or repro.stream.StreamSession; direct "
+        "insert_edges) or repro.stream.StreamSession; direct "
         "writes to _edge_keys/_edge_count/_h/overlay state desynchronize the "
         "maintained core numbers from the edge set"
     )

@@ -62,8 +62,7 @@ class Gate:
     entry the ``*`` matched.
 
     * ``FLOOR``: the value must reach ``floor`` — a number, or the name of
-      a sibling key whose value is the floor, compared with relative
-      ``slack``;
+      a sibling key whose value is the floor;
     * ``RELATIVE``: the value may trail the baseline's by at most the
       tolerance (``tolerance``, else the harness's), upward when
       ``lower_is_better``;
@@ -75,7 +74,6 @@ class Gate:
     path: str
     label: str
     floor: float | str | None = None
-    slack: float = 0.0
     lower_is_better: bool = False
     tolerance: float | None = None
 
@@ -119,7 +117,7 @@ class Gate:
             if floor is _MISSING:
                 yield f"{sibling} missing from the fresh payload"
                 return
-        if value * (1.0 + self.slack) < floor:
+        if value < floor:
             yield f"{label}: {where} = {value:.4g}, the gate requires >= {floor:.4g}{source}"
 
     def _relative_failure(self, label, where, value, base, tolerance) -> Iterator[str]:

@@ -9,8 +9,8 @@ Examples::
     repro-dsd --list-methods                     # solver registry table
 
 Dispatch goes through :func:`repro.engine.run`: the method name is
-resolved in the solver registry, the thread count / sanitizer / frontier
-toggles travel in one :class:`~repro.engine.context.ExecutionContext`,
+resolved in the solver registry, the thread count, sanitizer and backend
+travel in one :class:`~repro.engine.context.ExecutionContext`,
 and the printed simulated time comes from the attached
 :class:`~repro.engine.report.RunReport`.
 """
@@ -91,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run kernels under the parfor race sanitizer "
         "(repro.analysis.race) and print a per-loop verdict",
-    )
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the frontier (active-set) kernels for methods that "
-        "support them, reproducing the full-sweep costing",
     )
     parser.add_argument(
         "--backend",
@@ -248,13 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         kind = "dds" if args.directed else "uds"
         spec = get_solver(kind, args.method or ("pwc" if args.directed else "pkmc"))
-        if args.no_frontier:
-            if not spec.supports_frontier:
-                raise EngineError(
-                    f"method {spec.name!r} has no frontier kernels; "
-                    "--no-frontier does not apply"
-                )
-            ctx.frontier = False
         graph, labels = _load_graph(args)
         if args.directed:
             result = engine_run(spec, graph, ctx, **options)

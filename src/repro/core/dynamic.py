@@ -206,16 +206,6 @@ class DynamicKStarCore:
         self.updates_applied += added
         return added
 
-    def delete_edges(self, edges) -> int:
-        """Bulk delete; return how many edges were actually removed.
-
-        The batching counterpart of :meth:`insert_edges`, with the same
-        validate-everything-first contract; deleting an absent edge is a
-        counted-out no-op, not an error.
-        """
-        keys = [self._canonical(u, v) for u, v in edges]
-        return sum(1 for key in keys if self._apply(key, -1))
-
     # ------------------------------------------------------------------
     # Overlay adjacency (state: last converged graph + replayed updates)
     # ------------------------------------------------------------------

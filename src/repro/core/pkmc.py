@@ -31,7 +31,7 @@ from ..kernels.frontier import (
     gauss_seidel_batches,
 )
 from ..runtime.simruntime import SimRuntime
-from .hindex import degree_descending_order, inplace_sweep, synchronous_sweep
+from .hindex import degree_descending_order
 from .results import UDSResult
 
 __all__ = ["pkmc"]
@@ -55,7 +55,6 @@ def _core_density(graph: UndirectedGraph, vertices: np.ndarray) -> float:
     guarantee="2-approx",
     cost="parallel",
     supports_runtime=True,
-    supports_frontier=True,
     supports_sanitize=True,
     supports_streaming=True,
 )
@@ -66,7 +65,6 @@ def pkmc(
     proposition1_guard: bool = True,
     sweep: Literal["synchronous", "degree_order"] = "synchronous",
     max_iterations: int | None = None,
-    frontier: bool = True,
 ) -> UDSResult:
     """Return the k*-core of ``graph`` as a 2-approximate UDS.
 
@@ -76,8 +74,10 @@ def pkmc(
         The input undirected graph; must contain at least one edge.
     runtime:
         Optional :class:`SimRuntime` used to account the simulated parallel
-        cost of every sweep (one ``parfor`` over all vertices per sweep plus
-        a parallel reduction for ``h_max`` and its multiplicity).  With
+        cost of every sweep (one ``parfor`` over the vertices the sweep
+        recomputes — all of them on the first sweep, then only those with
+        a changed neighbour — plus a parallel reduction for ``h_max`` and
+        its multiplicity).  With
         ``SimRuntime(sanitize=True)`` the sweeps additionally execute their
         per-vertex kernels under the parfor race sanitizer (the
         ``degree_order`` sweep is annotated order-dependent, so both modes
@@ -95,14 +95,6 @@ def pkmc(
         answer.
     max_iterations:
         Safety bound; defaults to ``num_vertices + 2``.
-    frontier:
-        Use the frontier (active-set) sweep kernels: after the first full
-        sweep, only vertices with a changed neighbour are recomputed and
-        only they are charged to the simulated runtime.  The per-sweep
-        h-arrays — and therefore the iteration count, history and
-        Theorem-1 stop — are identical to the full sweeps; disable to
-        reproduce the pre-kernel-layer full-sweep costing (the
-        bench-regression harness compares both).
 
     Returns
     -------
@@ -127,24 +119,13 @@ def pkmc(
     sweep_costs = _sweep_costs(graph)
     active: np.ndarray | None = None  # Jacobi frontier (None = full sweep)
     dirty: np.ndarray | None = None  # Gauss–Seidel dirty mask
-    batches = (
-        gauss_seidel_batches(graph, order)
-        if frontier and sweep == "degree_order"
-        else None
-    )
+    batches = gauss_seidel_batches(graph, order) if sweep == "degree_order" else None
 
     with rt.parallel_region():
         # Initialisation: one parallel pass to set h(v) = d(v) and reduce max.
         rt.parfor(np.full(graph.num_vertices, 2.0))
         while iterations < limit:
-            if not frontier:
-                rt.parfor(sweep_costs)
-                if sweep == "synchronous":
-                    new_h = synchronous_sweep(graph, h, runtime=rt)
-                else:
-                    new_h = inplace_sweep(graph, h.copy(), order, runtime=rt)
-                changed = bool(np.any(new_h < h))
-            elif sweep == "synchronous":
+            if sweep == "synchronous":
                 # Charge only the recomputed frontier (all n on sweep 1).
                 rt.parfor(sweep_costs if active is None else sweep_costs[active])
                 new_h, active = frontier_synchronous_sweep(
@@ -158,8 +139,7 @@ def pkmc(
                 new_h, dirty, processed = frontier_inplace_sweep(
                     graph, h.copy(), dirty=dirty, batches=batches, runtime=rt
                 )
-                # Charge in natural vertex order (like the full sweep did)
-                # so static-schedule imbalance never exceeds the old cost.
+                # Charge in natural vertex order, as the Jacobi path does.
                 rt.parfor(sweep_costs[np.sort(processed)])
                 changed = bool(np.any(new_h[processed] < h[processed]))
             # Parallel reduction for h_max and its multiplicity (lines 10-11).
@@ -197,6 +177,5 @@ def pkmc(
             "history": history,
             "early_stop_fired": early_stop_fired,
             "sweep": sweep,
-            "frontier": frontier,
         },
     )

@@ -52,7 +52,6 @@ def derive_cn_pair_divisor(
     graph: DirectedGraph,
     wstar: WStarResult,
     runtime: SimRuntime | None = None,
-    frontier: bool = True,
 ) -> tuple[int, int, XYCore]:
     """Find the maximum cn-pair by descending divisor-pair checks.
 
@@ -99,7 +98,7 @@ def derive_cn_pair_divisor(
                 _, x, y, core = best
                 return x, y, core
         product -= 1
-        mask = winduced_subgraph(graph, product, runtime=runtime, frontier=frontier)
+        mask = winduced_subgraph(graph, product, runtime=runtime)
     raise AlgorithmError(
         "no [x, y]-core exists at any product; the graph must be edgeless"
     )
@@ -168,14 +167,12 @@ def derive_cn_pair_collapse(
     guarantee="2-approx",
     cost="parallel",
     supports_runtime=True,
-    supports_frontier=True,
 )
 def pwc(
     graph: DirectedGraph,
     runtime: SimRuntime | None = None,
     start_at_dmax: bool = True,
     extraction: Literal["collapse", "divisor"] = "collapse",
-    frontier: bool = True,
 ) -> DDSResult:
     """Return the [x*, y*]-core of ``graph`` as a 2-approximate DDS.
 
@@ -193,12 +190,6 @@ def pwc(
         ``"collapse"`` uses the paper's Lemma-6 scan and falls back to the
         divisor descent if inconclusive or unverifiable; ``"divisor"``
         always uses the provably-safe descending enumeration.
-    frontier:
-        With the default ``True``, the peeling cascade re-checks only the
-        edges adjacent to the previous round's removals (identical results
-        and round counts, cheaper simulated rounds — see
-        :func:`~repro.core.winduced.wstar_subgraph`); ``False`` re-scans
-        every surviving edge each round as written in Algorithm 3.
 
     Returns
     -------
@@ -212,9 +203,7 @@ def pwc(
         raise EmptyGraphError("DDS is undefined on a graph without edges")
     rt = runtime or SimRuntime(num_threads=1)
     with rt.parallel_region():
-        wstar = wstar_subgraph(
-            graph, runtime=rt, start_at_dmax=start_at_dmax, frontier=frontier
-        )
+        wstar = wstar_subgraph(graph, runtime=rt, start_at_dmax=start_at_dmax)
 
         used_fallback = False
         pair: tuple[int, int] | None = None
@@ -228,9 +217,7 @@ def pwc(
             if pair is None:
                 used_fallback = True
         if pair is None:
-            x, y, core = derive_cn_pair_divisor(
-                graph, wstar, runtime=rt, frontier=frontier
-            )
+            x, y, core = derive_cn_pair_divisor(graph, wstar, runtime=rt)
 
     density = core.density()
     return DDSResult(

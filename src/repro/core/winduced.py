@@ -91,7 +91,6 @@ def _cascade(
     threshold: int,
     strict: bool,
     runtime: SimRuntime | None,
-    frontier: bool = True,
 ) -> int:
     """Remove edges with weight < threshold (strict) or <= threshold.
 
@@ -99,25 +98,21 @@ def _cascade(
     ``din`` in place; returns the number of rounds executed.  Each round is
     one parallel sweep (Algorithm 3's inner while-loop body).
 
-    With ``frontier=True`` (default) rounds after the first only re-check
+    The first round checks every alive edge; later rounds re-check only
     the edges adjacent to the previous round's removals — an edge weight
     ``d^+(u) * d^-(v)`` can only drop when an incident removal lowers one
     of its endpoint degrees, and weights only decrease, so an unchanged
     edge that once passed the threshold still passes it.  Removal sets and
-    round counts are identical to the full re-scan; only the simulated
-    parallel cost charged per round shrinks to the candidate set.
+    round counts are those of Algorithm 3's full re-scan; only the
+    simulated parallel cost charged per round shrinks to the candidate set.
     """
     src, dst = graph.edge_src, graph.edge_dst
     rounds = 0
-    remaining = int(np.count_nonzero(alive))
-    candidates: np.ndarray | None = None  # None means "all alive edges".
+    cand_ids = np.flatnonzero(alive)
+    remaining = int(cand_ids.size)
     while True:
         if remaining == 0:
             return rounds
-        if frontier and candidates is not None:
-            cand_ids = candidates
-        else:
-            cand_ids = np.flatnonzero(alive)
         weights = dout[src[cand_ids]] * din[dst[cand_ids]]
         bad = weights < threshold if strict else weights <= threshold
         rounds += 1
@@ -132,11 +127,10 @@ def _cascade(
         remaining -= int(dead_ids.size)
         np.subtract.at(dout, src[dead_ids], 1)
         np.subtract.at(din, dst[dead_ids], 1)
-        if frontier:
-            candidates = _touched_alive_edges(
-                graph, alive, sorted_unique(src[dead_ids]),
-                sorted_unique(dst[dead_ids]),
-            )
+        cand_ids = _touched_alive_edges(
+            graph, alive, sorted_unique(src[dead_ids]),
+            sorted_unique(dst[dead_ids]),
+        )
 
 
 def winduced_subgraph(
@@ -144,7 +138,6 @@ def winduced_subgraph(
     w: int,
     edge_mask: np.ndarray | None = None,
     runtime: SimRuntime | None = None,
-    frontier: bool = True,
 ) -> np.ndarray:
     """Return the edge mask of the w-induced subgraph (Definition 9).
 
@@ -161,10 +154,7 @@ def winduced_subgraph(
     alive_dst = graph.edge_dst[alive]
     dout = np.bincount(alive_src, minlength=graph.num_vertices).astype(np.int64)
     din = np.bincount(alive_dst, minlength=graph.num_vertices).astype(np.int64)
-    _cascade(
-        graph, alive, dout, din, int(w), strict=True, runtime=runtime,
-        frontier=frontier,
-    )
+    _cascade(graph, alive, dout, din, int(w), strict=True, runtime=runtime)
     return alive
 
 
@@ -185,7 +175,6 @@ def wstar_subgraph(
     graph: DirectedGraph,
     runtime: SimRuntime | None = None,
     start_at_dmax: bool = True,
-    frontier: bool = True,
 ) -> WStarResult:
     """Compute the w*-induced subgraph by level-by-level edge peeling.
 
@@ -205,8 +194,7 @@ def wstar_subgraph(
     if start_at_dmax:
         d_max = graph.max_degree()
         rounds += _cascade(
-            graph, alive, dout, din, d_max, strict=True, runtime=runtime,
-            frontier=frontier,
+            graph, alive, dout, din, d_max, strict=True, runtime=runtime
         )
     size_after_prune = int(np.count_nonzero(alive))
 
@@ -225,8 +213,7 @@ def wstar_subgraph(
         w_star = w_cur
         level_sizes.append((w_cur, int(alive_ids.size)))
         rounds += _cascade(
-            graph, alive, dout, din, w_cur, strict=False, runtime=runtime,
-            frontier=frontier,
+            graph, alive, dout, din, w_cur, strict=False, runtime=runtime
         )
 
     if w_star == 0:

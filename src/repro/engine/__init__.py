@@ -8,8 +8,8 @@ The three layers every solver run goes through:
   dict is ever edited (lint rule R006 enforces the convention);
 * **context** (:mod:`repro.engine.context`): an
   :class:`ExecutionContext` carries the SimRuntime, thread count, seed,
-  budgets, sanitize and frontier toggles — the engine forwards each field
-  only to solvers whose spec claims the capability;
+  budgets and sanitize toggle — the engine forwards each field only to
+  solvers whose spec claims the capability;
 * **report** (:mod:`repro.engine.report`): :func:`run` attaches a
   structured :class:`RunReport` (guarantee, sweeps/rounds, simulated
   seconds, peak frontier, density) to every result, with optional

@@ -1,7 +1,7 @@
 """Execution context: the one object threading run configuration to solvers.
 
-Before the engine existed, every call site hand-threaded ``runtime=``,
-``frontier=`` and thread counts into each solver, and each solver
+Before the engine existed, every call site hand-threaded ``runtime=``
+and thread counts into each solver, and each solver
 re-implemented the ``runtime or SimRuntime(...)`` dance.  An
 :class:`ExecutionContext` replaces that: build one per run (or let
 :func:`repro.engine.run` build a default), and the engine forwards each
@@ -31,8 +31,8 @@ class ExecutionContext:
     ``num_threads``, ``sanitize`` and the budgets) the first time a
     runtime-capable solver runs, so serial solvers never pay for one and
     an explicitly supplied :class:`~repro.runtime.simruntime.SimRuntime`
-    is always respected.  ``frontier=None`` means "solver default";
-    ``seed`` reaches only solvers declaring ``supports_seed``;
+    is always respected.  ``seed`` reaches only solvers declaring
+    ``supports_seed``;
     ``cluster_config`` reaches only the BSP ports.  ``cache`` opts the
     run into result memoization (:mod:`repro.store.memo`): hits are
     served without re-executing the solver, keyed on the graph
@@ -51,7 +51,6 @@ class ExecutionContext:
     runtime: SimRuntime | None = None
     seed: int | None = None
     sanitize: bool = False
-    frontier: bool | None = None
     time_limit: float | None = None
     memory_limit_bytes: float | None = None
     cluster_config: "ClusterConfig | None" = None

@@ -6,8 +6,8 @@ capability flags claim, executes it, verifies the runtime contract
 (a ``supports_runtime`` solver must have charged costs to the runtime it
 was given), and attaches a :class:`~repro.engine.report.RunReport` to
 the result.  API, CLI, benchmark harness and examples all dispatch
-through here, so behaviours like budgets, sanitizing and frontier
-toggles are configured in one place.
+through here, so behaviours like budgets, sanitizing and backends are
+configured in one place.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ def run(
     """Execute ``solver`` on ``graph`` under ``ctx``; return its result.
 
     ``options`` override the spec's ``default_options`` and are forwarded
-    verbatim (e.g. ``epsilon=0.5`` for PBU).  Context fields are mapped to
-    solver kwargs strictly by capability: ``runtime`` only when the spec
+    verbatim (e.g. ``epsilon=0.5`` for PBU); a name the solver does not
+    accept raises :class:`~repro.errors.EngineError` before anything
+    runs.  Context fields are mapped to solver kwargs strictly by
+    capability: ``runtime`` only when the spec
     declares ``supports_runtime`` (built lazily from the context's thread
-    count, budgets and sanitize flag), ``frontier`` only when
-    ``supports_frontier`` and the context sets it, ``seed`` only when
+    count, budgets and sanitize flag), ``seed`` only when
     ``supports_seed``, ``config`` only when ``supports_cluster``, and
     ``sanitize`` only when ``supports_sanitize`` on a solver with no
     runtime to carry it.  The whole run executes under the context's
@@ -79,6 +80,7 @@ def run(
     populated :class:`~repro.engine.report.RunReport` in ``.report``.
     """
     spec = resolve_solver(solver, graph)
+    spec.check_options(options)
     ctx = ctx or ExecutionContext()
     # Resolve the array backend up front: an unknown name fails fast
     # (before any cache lookup), and the resolved name is part of the
@@ -128,8 +130,6 @@ def run(
         charged_loops = runtime.metrics.parallel_loops
         charged_serial = runtime.metrics.breakdown.serial
         kwargs["runtime"] = runtime
-    if spec.supports_frontier and ctx.frontier is not None:
-        kwargs["frontier"] = ctx.frontier
     if spec.supports_seed and ctx.seed is not None:
         kwargs["seed"] = ctx.seed
     if spec.supports_cluster and ctx.cluster_config is not None:

@@ -14,8 +14,9 @@ code may poke solver tables directly.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Literal
+from typing import Any, Callable, Iterator, Literal, Mapping
 
 from ..errors import AlgorithmError, EngineError
 
@@ -60,7 +61,6 @@ class SolverSpec:
     guarantee: Guarantee
     cost: str
     supports_runtime: bool = False
-    supports_frontier: bool = False
     supports_sanitize: bool = False
     supports_seed: bool = False
     supports_cluster: bool = False
@@ -82,6 +82,12 @@ class SolverSpec:
 
     default_options: dict[str, Any] = field(default_factory=dict)
     summary: str = ""
+    option_names: frozenset[str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    """The option names ``func`` accepts after the graph, read once from
+    its signature (``runtime`` always included); ``None`` when it takes
+    ``**kwargs`` and so accepts any name."""
 
     def __post_init__(self) -> None:
         if self.kind not in ("uds", "dds"):
@@ -94,25 +100,40 @@ class SolverSpec:
             raise EngineError(
                 f"solver cost tag must be one of {COST_TAGS}, got {self.cost!r}"
             )
-        if self.supports_frontier and not self.supports_runtime:
-            raise EngineError(
-                f"{self.name}: supports_frontier requires supports_runtime"
-            )
         if not self.summary:
             doc = (self.func.__doc__ or "").strip().splitlines()
             object.__setattr__(self, "summary", doc[0] if doc else self.name)
+        params = list(inspect.signature(self.func).parameters.values())
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            names = {
+                p.name for p in params[1:]
+                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            }
+            object.__setattr__(self, "option_names", frozenset(names | {"runtime"}))
+
+    def check_options(self, options: Mapping[str, Any]) -> None:
+        """Raise :class:`~repro.errors.EngineError` on an option name the
+        solver does not accept, naming it and the accepted ones."""
+        if self.option_names is None:
+            return
+        unknown = [name for name in options if name not in self.option_names]
+        if unknown:
+            raise EngineError(
+                f"solver {self.kind}:{self.name} has no option "
+                f"{', '.join(map(repr, sorted(unknown)))}; it accepts "
+                f"{', '.join(sorted(self.option_names))}"
+            )
 
     def capability_flags(self) -> dict[str, bool]:
         """All capability names with their declared values.
 
-        The same key set (``runtime``/``frontier``/``sanitize``/``seed``/
-        ``cluster``) the static contract verifier emits in its
+        The same key set (``runtime``/``sanitize``/``seed``/``cluster``)
+        the static contract verifier emits in its
         ``--contracts-manifest`` records, so declared-vs-inferred diffs
         are a dict comparison.
         """
         return {
             "runtime": self.supports_runtime,
-            "frontier": self.supports_frontier,
             "sanitize": self.supports_sanitize,
             "seed": self.supports_seed,
             "cluster": self.supports_cluster,
@@ -150,7 +171,6 @@ def register_solver(
     guarantee: Guarantee,
     cost: str,
     supports_runtime: bool = False,
-    supports_frontier: bool = False,
     supports_sanitize: bool = False,
     supports_seed: bool = False,
     supports_cluster: bool = False,
@@ -177,7 +197,6 @@ def register_solver(
             guarantee=guarantee,
             cost=cost,
             supports_runtime=supports_runtime,
-            supports_frontier=supports_frontier,
             supports_sanitize=supports_sanitize,
             supports_seed=supports_seed,
             supports_cluster=supports_cluster,

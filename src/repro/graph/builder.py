@@ -12,7 +12,6 @@ from typing import Hashable
 
 import numpy as np
 
-from ..errors import GraphError
 from .directed import DirectedGraph
 from .undirected import UndirectedGraph
 
@@ -38,22 +37,8 @@ class _EdgeBuffer:
         self._dst[self._size] = v
         self._size += 1
 
-    def extend(self, edges: np.ndarray) -> None:
-        count = edges.shape[0]
-        needed = self._size + count
-        if needed > self._src.size:
-            new_cap = max(needed, self._src.size * 2)
-            self._src = np.resize(self._src, new_cap)
-            self._dst = np.resize(self._dst, new_cap)
-        self._src[self._size:needed] = edges[:, 0]
-        self._dst[self._size:needed] = edges[:, 1]
-        self._size = needed
-
     def view(self) -> np.ndarray:
         return np.stack([self._src[: self._size], self._dst[: self._size]], axis=1)
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class _LabelInterner:
@@ -102,30 +87,15 @@ class GraphBuilder:
     def __init__(self) -> None:
         self._buffer = _EdgeBuffer()
         self._interner = _LabelInterner()
-        self._explicit_n: int | None = None
 
     def add_edge(self, u: Hashable, v: Hashable) -> "GraphBuilder":
         """Add an undirected edge between two (possibly labelled) vertices."""
         self._buffer.append(self._interner.intern(u), self._interner.intern(v))
         return self
 
-    def add_edges_from_ids(self, edges: np.ndarray, num_vertices: int) -> "GraphBuilder":
-        """Bulk-add edges that already use integer ids in [0, num_vertices)."""
-        if len(self._interner):
-            raise GraphError("cannot mix labelled and pre-numbered edges")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self._buffer.extend(edges)
-        self._explicit_n = max(self._explicit_n or 0, num_vertices)
-        return self
-
-    def num_pending_edges(self) -> int:
-        """Return the number of edges added so far (before dedup)."""
-        return len(self._buffer)
-
     def build(self) -> UndirectedGraph:
         """Return the accumulated graph."""
-        n = self._explicit_n if self._explicit_n is not None else len(self._interner)
-        return UndirectedGraph.from_edges(n, self._buffer.view())
+        return UndirectedGraph.from_edges(len(self._interner), self._buffer.view())
 
     def build_with_labels(self) -> tuple[UndirectedGraph, list[Hashable]]:
         """Return ``(graph, labels)`` where labels[i] is vertex i's label."""
@@ -138,32 +108,15 @@ class DirectedGraphBuilder:
     def __init__(self) -> None:
         self._buffer = _EdgeBuffer()
         self._interner = _LabelInterner()
-        self._explicit_n: int | None = None
 
     def add_edge(self, u: Hashable, v: Hashable) -> "DirectedGraphBuilder":
         """Add a directed edge u -> v between (possibly labelled) vertices."""
         self._buffer.append(self._interner.intern(u), self._interner.intern(v))
         return self
 
-    def add_edges_from_ids(
-        self, edges: np.ndarray, num_vertices: int
-    ) -> "DirectedGraphBuilder":
-        """Bulk-add edges that already use integer ids in [0, num_vertices)."""
-        if len(self._interner):
-            raise GraphError("cannot mix labelled and pre-numbered edges")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self._buffer.extend(edges)
-        self._explicit_n = max(self._explicit_n or 0, num_vertices)
-        return self
-
-    def num_pending_edges(self) -> int:
-        """Return the number of edges added so far (before dedup)."""
-        return len(self._buffer)
-
     def build(self) -> DirectedGraph:
         """Return the accumulated graph."""
-        n = self._explicit_n if self._explicit_n is not None else len(self._interner)
-        return DirectedGraph.from_edges(n, self._buffer.view())
+        return DirectedGraph.from_edges(len(self._interner), self._buffer.view())
 
     def build_with_labels(self) -> tuple[DirectedGraph, list[Hashable]]:
         """Return ``(graph, labels)`` where labels[i] is vertex i's label."""

@@ -20,7 +20,7 @@ from ..errors import GraphError
 from ..store.compact import index_dtype
 from ..store.csr import counting_sort_csr, sorted_unique, unique_pairs
 from ..store.fingerprint import fingerprint_arrays
-from .undirected import UndirectedGraph, _edge_rows
+from .undirected import _edge_rows
 
 __all__ = ["DirectedGraph"]
 
@@ -200,14 +200,6 @@ class DirectedGraph:
         """Return all in-degrees (cached, read-only)."""
         return self._cached("in_degrees", lambda: np.diff(self.in_indptr))
 
-    def out_degree(self, v: int) -> int:
-        """Return the out-degree of vertex ``v``."""
-        return int(self.out_indptr[v + 1] - self.out_indptr[v])
-
-    def in_degree(self, v: int) -> int:
-        """Return the in-degree of vertex ``v``."""
-        return int(self.in_indptr[v + 1] - self.in_indptr[v])
-
     def max_out_degree(self) -> int:
         """Return the maximum out-degree (0 when edgeless)."""
         return int(self.out_degrees().max(initial=0)) if self.num_vertices else 0
@@ -220,17 +212,9 @@ class DirectedGraph:
         """Return d_max = max over vertices of max(out-degree, in-degree)."""
         return max(self.max_out_degree(), self.max_in_degree())
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        """Return the sorted out-neighbour ids of ``v``."""
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        """Return the sorted in-neighbour ids of ``v``."""
-        return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
-
     def has_edge(self, u: int, v: int) -> bool:
         """Return True iff the edge u -> v is present."""
-        nbrs = self.out_neighbors(u)
+        nbrs = self.out_indices[self.out_indptr[u]:self.out_indptr[u + 1]]
         pos = np.searchsorted(nbrs, v)
         return bool(pos < nbrs.size and nbrs[pos] == v)
 
@@ -299,10 +283,6 @@ class DirectedGraph:
     def reversed(self) -> "DirectedGraph":
         """Return the graph with every edge direction flipped."""
         return DirectedGraph(self.num_vertices, self._edge_dst, self._edge_src)
-
-    def to_undirected(self) -> "UndirectedGraph":
-        """Return the underlying undirected graph (edge directions erased)."""
-        return UndirectedGraph.from_edges(self.num_vertices, self.edges())
 
     # ------------------------------------------------------------------
     # Dunder helpers

@@ -32,16 +32,6 @@ class GraphSummary:
     mean_degree: float
     density: float
 
-    def as_row(self) -> dict[str, float | int]:
-        """Return the summary as a flat dict for table rendering."""
-        return {
-            "|V|": self.num_vertices,
-            "|E|": self.num_edges,
-            "d_max": self.max_degree,
-            "mean_deg": round(self.mean_degree, 2),
-            "rho": round(self.density, 3),
-        }
-
 
 @dataclass(frozen=True)
 class DirectedGraphSummary:
@@ -52,16 +42,6 @@ class DirectedGraphSummary:
     max_out_degree: int
     max_in_degree: int
     mean_degree: float
-
-    def as_row(self) -> dict[str, float | int]:
-        """Return the summary as a flat dict for table rendering."""
-        return {
-            "|V|": self.num_vertices,
-            "|E|": self.num_edges,
-            "d+_max": self.max_out_degree,
-            "d-_max": self.max_in_degree,
-            "mean_deg": round(self.mean_degree, 2),
-        }
 
 
 def summarize(graph: UndirectedGraph) -> GraphSummary:

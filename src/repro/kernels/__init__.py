@@ -15,9 +15,12 @@ time in —
   every ``|E(S)|/|S|`` density report, on the graph's cached ``heads``
   scratch buffer.
 
-Reference (pre-kernel-layer) implementations are kept as
-``reference_synchronous_sweep`` / ``reference_inplace_sweep`` so property
-tests and the bench-regression harness can compare old against new.
+The oracles the frontier kernels are checked against sweep by sweep are
+the full sweeps :func:`repro.core.hindex.synchronous_sweep` (Jacobi;
+also the first sweep of ``frontier_synchronous_sweep(frontier=None)``)
+and :func:`repro.core.hindex.inplace_sweep` (sequential Gauss–Seidel);
+the lexsort :func:`~repro.kernels.segments.reference_segment_h_index`
+is kept for the segmented h-index, whose bench gate times both.
 
 This layer states *what* every kernel computes; *how* it executes is
 delegated to the active array backend (:mod:`repro.backends` — numpy

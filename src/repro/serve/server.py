@@ -93,8 +93,8 @@ class DsdServer:
     ``graphs`` maps dataset names to pre-built graph objects; names not
     in the table fall back to the synthetic replica registry
     (:mod:`repro.datasets`), so ``Query(dataset="PT", solver="pkmc")``
-    works out of the box.  Execution policy — ``num_threads``,
-    ``backend``, ``frontier`` — is fixed per server, *not* per query:
+    works out of the box.  Execution policy — ``num_threads`` and
+    ``backend`` — is fixed per server, *not* per query:
     that is what makes equal queries equal work, so coalescing and
     caching can be exact rather than heuristic.
 
@@ -131,7 +131,6 @@ class DsdServer:
         quotas: Optional[TenantQuotas] = None,
         num_threads: int = 1,
         backend: Optional[str] = None,
-        frontier: Optional[bool] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
         if num_workers < 1:
@@ -144,7 +143,6 @@ class DsdServer:
         # Resolving eagerly makes an unknown backend fail at server
         # construction, not on the first unlucky query.
         self.backend = resolve_backend_name(backend)
-        self.frontier = frontier
         # Serving measures real elapsed time by definition; tests and
         # the replay bench inject deterministic clocks instead.
         self._clock = clock if clock is not None else time.monotonic  # repro-lint: disable=R001 (injectable serving clock)
@@ -185,10 +183,7 @@ class DsdServer:
         """
         merged = dict(spec.default_options)
         merged.update(query.params)
-        template = ExecutionContext(
-            num_threads=self.num_threads,
-            frontier=self.frontier,
-        )
+        template = ExecutionContext(num_threads=self.num_threads)
         key = make_cache_key(
             graph.fingerprint(), spec.kind, spec.name, template, merged,
             backend=self.backend,
@@ -207,9 +202,9 @@ class DsdServer:
     def submit(self, query: Query) -> int:
         """Admit ``query``; return its sequence number.
 
-        Validation (unknown dataset/solver) raises the library's normal
-        errors.  Admission control raises
-        :class:`~repro.errors.ServeRejected`: ``queue_full`` when the
+        Validation (unknown dataset, solver or option name) raises the
+        library's normal errors before the query is queued.  Admission
+        control raises :class:`~repro.errors.ServeRejected`: ``queue_full`` when the
         bounded queue has no slot (checked first — shed queries never
         spend quota tokens), ``quota`` when the tenant's token bucket is
         empty (with the exact next-token delay as ``retry_after_s``).
@@ -218,6 +213,7 @@ class DsdServer:
         self.stats.submitted += 1
         graph = self._resolve_graph(query.dataset)
         spec = resolve_solver(query.solver, graph)
+        spec.check_options(query.params)
         if len(self._queue) >= self.max_queue_depth:
             self.stats.rejected_queue_full += 1
             raise ServeRejected(
@@ -272,7 +268,6 @@ class DsdServer:
         """Execute one flight's computation under the server's policy."""
         ctx = ExecutionContext(
             num_threads=self.num_threads,
-            frontier=self.frontier,
             backend=self.backend,
             cache=self._cache,
         )

@@ -61,7 +61,7 @@ def make_cache_key(
 
     Covers every context field that can influence a solver's output or
     its report (thread count changes simulated seconds; seed, sanitize,
-    frontier, budgets and cluster shape change behavior). A pre-supplied
+    budgets and cluster shape change behavior). A pre-supplied
     ``ctx.runtime`` carries arbitrary prior state, and unhashable option
     values cannot be keyed — both make the run uncacheable.
 
@@ -91,7 +91,6 @@ def make_cache_key(
         ctx.num_threads,
         ctx.seed,
         ctx.sanitize,
-        ctx.frontier,
         ctx.time_limit,
         ctx.memory_limit_bytes,
         cluster,

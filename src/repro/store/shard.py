@@ -460,10 +460,6 @@ class ShardedGraph:
         """
         return self._manifest["graph_fingerprint"]
 
-    def shard_of(self, vertex: int) -> int:
-        """The shard index owning global vertex id ``vertex``."""
-        return int(self.owners(np.asarray([vertex], dtype=np.int64))[0])
-
     def owners(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Shard index of every given global vertex id (int64 array)."""
         ids = np.asarray(vertex_ids, dtype=np.int64)

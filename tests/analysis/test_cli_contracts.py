@@ -45,8 +45,21 @@ class TestRuleRanges:
     def test_list_rules_covers_contract_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R007", "R008", "R009", "R010", "R011", "R012"):
+        for rule_id in ("R007", "R008", "R010", "R011", "R012"):
             assert rule_id in out
+        assert "R009" not in out
+
+    def test_single_id_naming_no_rule_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "dirty.py"
+        target.write_text(RACY_SOURCE)
+        for flag, ids in (("--select", "R001,R999"), ("--ignore", "R0O1"),
+                          ("--select", "R001,R009")):
+            assert lint_main([str(target), flag, ids]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag} names no rule: ")
+            assert ids.split(",")[-1] in err
+        # Ids match case-insensitively, as the engine's selection does.
+        assert lint_main([str(target), "--select", "r001"]) == 1
 
 
 class TestJsonOutput:

@@ -23,7 +23,6 @@ SRC_ROOT = Path(repro.__file__).parent
 RULE_FIXTURES = [
     ("R007", "r007_runtime_charge.py"),
     ("R008", "r008_cost_loops.py"),
-    ("R009", "r009_frontier.py"),
     ("R010", "r010_scratch_escape.py"),
     ("R011", "r011_memo_clone.py"),
     # R013 is a pattern rule, not a dataflow rule, but it shares the
@@ -178,12 +177,11 @@ class TestContractsManifest:
             assert rec["function"].split(".")[-1] == record["function"].split(".")[-1]
 
     def test_load_bearing_capabilities_have_no_drift(self):
-        # R007/R009 gate these two directions; the committed codebase must
-        # infer exactly what it declares for runtime and frontier.
+        # R007 gates this direction; the committed codebase must infer
+        # exactly what it declares for the runtime.
         project = LintEngine().build_project([SRC_ROOT])
         for rec in project.contracts_manifest():
             assert rec["inferred"]["runtime"] == rec["declared"]["runtime"], rec
-            assert rec["inferred"]["frontier"] == rec["declared"]["frontier"], rec
 
 
 class TestR013BackendDispatch:

@@ -277,7 +277,7 @@ class TestProjectIndex:
         assert reg.kind == "uds"
         assert reg.guarantee == "exact"
         assert reg.declared["supports_runtime"] is True
-        assert reg.declared["supports_frontier"] is False
+        assert reg.declared["supports_sanitize"] is False
 
     def test_charge_closure_is_transitive(self):
         project = self._index(
@@ -326,7 +326,7 @@ class TestProjectIndex:
         (record,) = project.contracts_manifest()
         assert record["name"] == "demo"
         assert set(record["declared"]) == {
-            "runtime", "frontier", "sanitize", "seed", "cluster"
+            "runtime", "sanitize", "seed", "cluster"
         }
         assert set(record["inferred"]) == set(record["declared"])
         assert record["mismatches"] == []

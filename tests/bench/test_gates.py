@@ -49,7 +49,7 @@ def _push(gate, current, baseline, tolerance):
         if isinstance(value, int) and isinstance(floor, int):
             below = floor - 1
         else:
-            below = floor / (1.0 + gate.slack) * (1.0 - 1e-6)
+            below = floor * (1.0 - 1e-6)
         # Both sides, so no baseline-relative row on the path trips too.
         _set(current, parts, below)
         _set(baseline, parts, below)

@@ -163,13 +163,6 @@ class TestCoreMaintenance:
 class TestBatchValidation:
     """ISSUE 10 satellites: batch mutators and their atomicity contract."""
 
-    def test_delete_edges_counts_present_only(self):
-        tracker = DynamicKStarCore(5)
-        tracker.insert_edges([(0, 1), (1, 2), (2, 3)])
-        removed = tracker.delete_edges([(1, 0), (2, 3), (3, 4)])
-        assert removed == 2
-        assert tracker.num_edges == 1
-
     def test_stream_mutation_error_is_a_value_error(self):
         # Callers treating bad payloads as plain bad arguments and
         # callers catching the graph-error hierarchy both work.
@@ -192,8 +185,6 @@ class TestBatchValidation:
         fingerprint = tracker.graph().fingerprint()
         with pytest.raises(ValueError):
             tracker.insert_edges([(1, 2), (3, 3)])
-        with pytest.raises(ValueError):
-            tracker.delete_edges([(0, 1), (0, 9)])
         assert tracker.num_edges == 1
         assert tracker.graph().fingerprint() == fingerprint
 
@@ -202,7 +193,8 @@ class TestBatchValidation:
         tracker.insert_edges([(0, 1), (1, 2)])
         tracker.k_star()
         sweeps = tracker.total_sweeps
-        assert tracker.delete_edges([(0, 2), (2, 3)]) == 0
+        assert not tracker.delete_edge(0, 2)
+        assert not tracker.delete_edge(2, 3)
         # nothing changed: the next query spends no further sweeps
         tracker.k_star()
         assert tracker.total_sweeps == sweeps
@@ -213,7 +205,6 @@ class TestBatchValidation:
         fingerprint = tracker.graph().fingerprint()
         stats = dict(tracker.stats())
         assert tracker.insert_edges([]) == 0
-        assert tracker.delete_edges([]) == 0
         assert tracker.insert_edges([(0, 1)]) == 0  # duplicate: also a no-op
         assert tracker.graph().fingerprint() == fingerprint
         assert tracker.stats() == stats
@@ -274,7 +265,8 @@ def _drive_against_model(seed, n, num_batches, reads="kgd", **options):
                 assert tracker.insert_edges(edges) == len(keys - model)
                 model |= keys
             else:
-                assert tracker.delete_edges(edges) == len(keys & model)
+                removed = sum(tracker.delete_edge(u, v) for u, v in edges)
+                assert removed == len(keys & model)
                 model -= keys
             assert tracker.num_edges == len(model)
         pending = len(tracker._pending)

@@ -159,9 +159,9 @@ class TestWStarSubgraph:
         assert fast.w_star == w_star
         assert np.array_equal(fast.edge_mask, induce == w_star)
 
-    # The level trace of a seeded graph is deterministic: both frontier
-    # modes must reproduce these level sizes, round counts and
-    # post-prune sizes exactly.
+    # The level trace of a seeded graph is deterministic: the peel must
+    # reproduce these level sizes, round counts and post-prune sizes
+    # exactly.
     PINNED_LEVELS = {
         "planted-st": dict(
             w_star=99, rounds=24, size_after_prune=217, size_wstar=152,
@@ -179,10 +179,9 @@ class TestWStarSubgraph:
             return planted_st_subgraph(300, 1500, 12, 14, seed=5)[0]
         return gnm_random_directed(200, 1200, seed=3)
 
-    @pytest.mark.parametrize("frontier", [True, False], ids=["frontier", "full-scan"])
     @pytest.mark.parametrize("name", ["planted-st", "gnm"])
-    def test_level_trace_pinned(self, name, frontier):
-        result = wstar_subgraph(self._pinned_graph(name), frontier=frontier)
+    def test_level_trace_pinned(self, name):
+        result = wstar_subgraph(self._pinned_graph(name))
         pinned = self.PINNED_LEVELS[name]
         assert result.level_sizes == pinned["level_sizes"]
         assert result.rounds == pinned["rounds"]

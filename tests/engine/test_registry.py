@@ -91,9 +91,9 @@ class TestCompleteness:
     def test_paper_algorithms_have_expected_capabilities(self):
         pkmc = get_solver("uds", "pkmc")
         assert pkmc.guarantee == "2-approx" and pkmc.cost == "parallel"
-        assert set(pkmc.capabilities) >= {"runtime", "frontier", "sanitize"}
+        assert set(pkmc.capabilities) >= {"runtime", "sanitize"}
         pwc = get_solver("dds", "pwc")
-        assert set(pwc.capabilities) >= {"runtime", "frontier"}
+        assert set(pwc.capabilities) >= {"runtime"}
         for name in ("pkmc-bsp",):
             assert get_solver("uds", name).supports_cluster
         assert get_solver("dds", "pwc-bsp").supports_cluster
@@ -134,12 +134,6 @@ class TestSpecValidation:
         with pytest.raises(EngineError, match="cost tag"):
             SolverSpec(name="x", kind="uds", func=self._solver,
                        guarantee="exact", cost="quantum")
-
-    def test_frontier_requires_runtime(self):
-        with pytest.raises(EngineError, match="supports_frontier"):
-            SolverSpec(name="x", kind="uds", func=self._solver,
-                       guarantee="exact", cost="serial",
-                       supports_frontier=True)
 
     def test_duplicate_registration_rejected(self):
         def one(graph):

@@ -70,14 +70,6 @@ class TestContextPropagation:
         assert result.seen["runtime"] is None
         assert ctx.runtime is None  # serial solvers never pay for one
 
-    def test_frontier_forwarded_only_when_set_and_supported(self, triangle_graph):
-        with temp(supports_runtime=True,
-                  supports_frontier=True)(recording_solver()) as spec:
-            default = run(spec, triangle_graph, ExecutionContext())
-            toggled = run(spec, triangle_graph, ExecutionContext(frontier=False))
-        assert "frontier" not in default.seen  # None means solver default
-        assert toggled.seen["frontier"] is False
-
     def test_explicit_runtime_option_adopted(self, triangle_graph):
         rt = SimRuntime(num_threads=4)
         ctx = ExecutionContext(num_threads=1)
@@ -159,6 +151,30 @@ class TestPkmcBspSanitize:
         assert entry["declared"]["sanitize"] is True
         assert entry["inferred"]["sanitize"] is True
         assert entry["mismatches"] == []
+
+
+class TestOptionNames:
+    def test_unknown_option_is_an_engine_error(self, triangle_graph):
+        with pytest.raises(EngineError, match="'bogus'.*sweep"):
+            run("pkmc", triangle_graph, bogus=1)
+
+    def test_names_come_from_the_signature(self, triangle_graph):
+        def solve(graph, alpha=1):
+            return FakeResult(seen={"alpha": alpha})
+
+        with temp()(solve) as spec:
+            assert run(spec, triangle_graph, alpha=2).seen == {"alpha": 2}
+            # A runtime option stays accepted, and is dropped for a
+            # solver without the runtime capability.
+            assert run(spec, triangle_graph, runtime=SimRuntime()).seen == {"alpha": 1}
+            expected = "has no option 'beta'; it accepts alpha, runtime"
+            with pytest.raises(EngineError, match=expected):
+                run(spec, triangle_graph, beta=2)
+
+    def test_var_keyword_solver_accepts_any_name(self, triangle_graph):
+        with temp()(recording_solver()) as spec:
+            assert spec.option_names is None
+            assert run(spec, triangle_graph, beta=2).seen["beta"] == 2
 
 
 class TestRuntimeContract:

@@ -38,9 +38,9 @@ class TestDispatch:
     def test_bsp_specs_declare_shard_support(self):
         assert get_solver("uds", "pkmc-bsp").supports_shards
         assert get_solver("dds", "pwc-bsp").supports_shards
-        # ...and capability_flags stays the locked 5-key contract set.
+        # ...and capability_flags stays the locked 4-key contract set.
         flags = get_solver("uds", "pkmc-bsp").capability_flags()
-        assert "supports_shards" not in flags and len(flags) == 5
+        assert "supports_shards" not in flags and len(flags) == 4
 
     def test_engine_parity_pkmc(self, undirected_pair):
         graph, sharded = undirected_pair

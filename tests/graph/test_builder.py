@@ -1,9 +1,5 @@
 """Unit tests for the incremental graph builders."""
 
-import numpy as np
-import pytest
-
-from repro.errors import GraphError
 from repro.graph import DirectedGraphBuilder, GraphBuilder
 
 
@@ -41,33 +37,11 @@ class TestGraphBuilder:
         assert graph.num_vertices == 3
         assert graph.has_edge(0, 2)  # the "1" endpoint is vertex True
 
-    def test_bulk_ids(self):
-        builder = GraphBuilder()
-        builder.add_edges_from_ids(np.array([[0, 1], [1, 2]]), num_vertices=5)
-        graph = builder.build()
-        assert graph.num_vertices == 5
-        assert graph.num_edges == 2
-
-    def test_bulk_growth_beyond_initial_capacity(self):
-        builder = GraphBuilder()
-        edges = np.stack(
-            [np.arange(3000), np.arange(3000) + 1], axis=1
-        )
-        builder.add_edges_from_ids(edges, num_vertices=3001)
-        assert builder.build().num_edges == 3000
-
     def test_many_single_appends(self):
         builder = GraphBuilder()
         for i in range(2000):
             builder.add_edge(i, i + 1)
-        assert builder.num_pending_edges() == 2000
         assert builder.build().num_edges == 2000
-
-    def test_mixing_modes_rejected(self):
-        builder = GraphBuilder()
-        builder.add_edge("a", "b")
-        with pytest.raises(GraphError):
-            builder.add_edges_from_ids(np.array([[0, 1]]), num_vertices=2)
 
     def test_duplicate_edges_deduped_at_build(self):
         builder = GraphBuilder()
@@ -85,22 +59,3 @@ class TestDirectedGraphBuilder:
         graph, labels = builder.build_with_labels()
         assert graph.num_edges == 2
         assert labels == ["a", "b"]
-
-    def test_bulk_ids(self):
-        builder = DirectedGraphBuilder()
-        builder.add_edges_from_ids(np.array([[2, 0], [0, 1]]), num_vertices=3)
-        graph = builder.build()
-        assert graph.has_edge(2, 0)
-        assert not graph.has_edge(0, 2)
-
-    def test_mixing_modes_rejected(self):
-        builder = DirectedGraphBuilder()
-        builder.add_edge("a", "b")
-        with pytest.raises(GraphError):
-            builder.add_edges_from_ids(np.array([[0, 1]]), num_vertices=2)
-
-    def test_explicit_vertex_count_takes_max(self):
-        builder = DirectedGraphBuilder()
-        builder.add_edges_from_ids(np.array([[0, 1]]), num_vertices=4)
-        builder.add_edges_from_ids(np.array([[2, 3]]), num_vertices=10)
-        assert builder.build().num_vertices == 10

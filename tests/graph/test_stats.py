@@ -30,14 +30,6 @@ class TestSummaries:
         assert summary.max_in_degree == 3
         assert summary.num_edges == 11
 
-    def test_as_row_keys(self, fig2_graph):
-        row = summarize(fig2_graph).as_row()
-        assert set(row) == {"|V|", "|E|", "d_max", "mean_deg", "rho"}
-
-    def test_directed_as_row_keys(self, fig3_graph):
-        row = summarize_directed(fig3_graph).as_row()
-        assert set(row) == {"|V|", "|E|", "d+_max", "d-_max", "mean_deg"}
-
 
 class TestHistogramAndTail:
     def test_hill_estimator_on_pareto(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine import ExecutionContext, resolve_solver
 from repro.engine import run as engine_run
-from repro.errors import AlgorithmError, DatasetError, ServeRejected
+from repro.errors import AlgorithmError, DatasetError, EngineError, ServeRejected
 from repro.graph import chung_lu_undirected
 from repro.serve import DsdServer, Query, TenantQuotas, build_query_mix
 
@@ -214,6 +214,20 @@ class TestValidation:
         with pytest.raises(AlgorithmError):
             server.submit(Query("alpha", "definitely-not-a-solver"))
 
+    def test_unknown_option_is_refused_at_submit(self, graphs):
+        # One bad option name must not abort the drain that answers the
+        # queries admitted around it.
+        server = make_server(graphs)
+        server.submit(Query("alpha", "pkmc"))
+        with pytest.raises(EngineError, match="'bogus'"):
+            server.submit(Query("alpha", "pkmc", params={"bogus": 1}))
+        server.submit(Query("alpha", "charikar"))
+        assert server.queue_depth == 2
+        responses = server.drain()
+        assert [r.query.solver for r in responses] == ["pkmc", "charikar"]
+        assert all(r.ok for r in responses)
+        assert server.stats.accepted == server.stats.completed == 2
+
     def test_registry_datasets_resolve_by_abbreviation(self):
         server = make_server(None)
         response, = server.serve([Query("PT", "charikar")])
@@ -257,13 +271,11 @@ class TestReports:
         assert json.loads(json.dumps(payload)) == payload
 
     def test_stripped_served_report_equals_direct_run(self, graphs):
-        server = make_server(graphs, num_threads=4, frontier=False)
+        server = make_server(graphs, num_threads=4)
         response, = server.serve([Query("alpha", "pkmc")])
         report = response.result.report
         assert not report.cache_hit  # the first query misses
-        direct = engine_run(
-            "pkmc", graphs["alpha"], ExecutionContext(num_threads=4, frontier=False)
-        )
+        direct = engine_run("pkmc", graphs["alpha"], ExecutionContext(num_threads=4))
         assert dataclasses.replace(report, serve=None) == direct.report
 
 

@@ -52,8 +52,8 @@ class TestMakeCacheKey:
             ExecutionContext(num_threads=8),
             ExecutionContext(seed=7),
             ExecutionContext(sanitize=True),
-            ExecutionContext(frontier=True),
             ExecutionContext(time_limit=1.0),
+            ExecutionContext(memory_limit_bytes=1e9),
         ]
         keys = {make_cache_key(fp, "uds", "pkmc", ctx, {}) for ctx in variants}
         assert base not in keys

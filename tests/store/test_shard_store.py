@@ -124,7 +124,6 @@ class TestShardAccess:
         for index in range(3):
             lo, hi = sharded.bounds[index], sharded.bounds[index + 1]
             assert np.all(owners[lo:hi] == index)
-        assert sharded.shard_of(0) == 0
         with pytest.raises(GraphError):
             sharded.shard(3)
 

@@ -48,6 +48,12 @@ class TestDsdCli:
         assert dsd_main([undirected_file, "--option", "nonsense"]) == 1
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_unknown_option_name(self, undirected_file, capsys):
+        assert dsd_main([undirected_file, "--option", "bogus=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'bogus'" in err and "sweep" in err
+
     def test_unknown_method(self, undirected_file, capsys):
         assert dsd_main([undirected_file, "--method", "nope"]) == 1
         assert "unknown UDS method" in capsys.readouterr().err
@@ -79,15 +85,6 @@ class TestDsdCli:
         with pytest.raises(SystemExit):
             dsd_main([])
         assert "path" in capsys.readouterr().err
-
-    def test_no_frontier_runs_frontier_capable_method(self, undirected_file):
-        assert dsd_main([undirected_file, "--no-frontier"]) == 0
-
-    def test_no_frontier_rejected_for_serial_method(self, undirected_file, capsys):
-        assert dsd_main(
-            [undirected_file, "--method", "exact", "--no-frontier"]
-        ) == 1
-        assert "no frontier kernels" in capsys.readouterr().err
 
 
 class TestBenchCli:

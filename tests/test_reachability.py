@@ -1,4 +1,5 @@
-"""Every top-level definition in ``src/repro`` is reached from an entry point.
+"""Every top-level definition and public method in ``src/repro`` is reached
+from an entry point.
 
 A definition counts as reached when a root names it, or when the body of
 a reached definition does, iterated to a fixpoint.  The roots are what
@@ -13,10 +14,15 @@ runs outside the test suite:
 * every name in ``perfbench/``, ``benchmarks/`` and ``examples/``;
 * the ``[project.scripts]`` targets in ``pyproject.toml``.
 
-Matching is by bare name, so a name shared by two definitions reaches
-both: the check errs toward "reached".  A definition that only tests
-reach must either be deleted or be listed in :data:`ORACLES` with the
-test that uses it as an oracle for other code.
+A public method of a top-level class is a definition of its own, whose
+body counts only once the method is reached.  The rest of the class,
+including its private methods and the decorated, dunder and ``visit_*``
+methods that Python or ``ast.NodeVisitor`` call without naming them, is
+reached with the class.  Matching is by bare name, so a name shared by
+two definitions reaches both: the check errs toward "reached".  A
+definition that only tests reach must either be deleted or be listed in
+:data:`ORACLES` (methods as ``Class.method``) with the test that uses it
+as an oracle for other code.
 """
 
 import ast
@@ -76,6 +82,41 @@ ORACLES = {
         "tests/bench/test_serialization.py",
         "reads back what save_json writes",
     ),
+    "inplace_sweep": (
+        "tests/kernels/test_frontier.py",
+        "sequential Gauss-Seidel sweep that frontier_inplace_sweep must "
+        "match sweep by sweep",
+    ),
+    "declare_order_dependent": (
+        "tests/analysis/test_race.py",
+        "sets the mark observe_parfor reads; inplace_sweep's sanitized "
+        "kernel carries it",
+    ),
+    "UndirectedGraph.has_edge": (
+        "tests/stream/test_session.py",
+        "checks the stream window's edges against the graph",
+    ),
+    "UndirectedGraph.relabeled": (
+        "tests/core/test_pkmc.py",
+        "relabelled copies for PKMC's relabel-invariance check",
+    ),
+    "DirectedGraph.has_edge": (
+        "tests/graph/test_io.py",
+        "checks the orientation the directed edge-list reader keeps",
+    ),
+    "DirectedGraph.st_induced_subgraph": (
+        "tests/core/test_pwc.py",
+        "the S x T block a PWC answer's density is checked on",
+    ),
+    "TokenBucket.peek": (
+        "tests/serve/test_quota.py",
+        "reads the token level that try_take's refill and rejection "
+        "tests check",
+    ),
+    "ShardedGraph.resident_shards": (
+        "tests/store/test_shard_store.py",
+        "lists the resident shards the LRU eviction test checks",
+    ),
 }
 
 
@@ -105,16 +146,49 @@ def _is_all(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
+def _is_public_method(stmt: ast.stmt) -> bool:
+    """A method callers must name: not private, dunder, decorated or a
+    ``visit_*`` hook."""
+    return (
+        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+        and not stmt.name.startswith("visit_")
+        and not stmt.decorator_list
+    )
+
+
+def _class_body(cls: ast.ClassDef, where: str, definitions) -> list[ast.AST]:
+    """Add ``cls``'s public methods to ``definitions``; return the nodes
+    the class itself reaches."""
+    rest: list[ast.AST] = [*cls.bases, *cls.keywords, *cls.decorator_list]
+    for stmt in cls.body:
+        if _is_public_method(stmt):
+            site = (where, f"{cls.name}.{stmt.name}", [stmt])
+            definitions.setdefault(stmt.name, []).append(site)
+        else:
+            rest.append(stmt)
+    return rest
+
+
 @functools.lru_cache(maxsize=None)
 def _scan():
-    """Return ``(definitions, reached)``; definitions maps name -> sites."""
-    definitions: dict[str, list[tuple[str, ast.AST]]] = {}
+    """Return ``(definitions, reached)``.
+
+    ``definitions`` maps a bare name to its ``(file, qualname, nodes)``
+    sites; ``nodes`` is what the definition reaches once it is reached.
+    """
+    definitions: dict[str, list[tuple[str, str, list[ast.AST]]]] = {}
     roots: set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         where = str(path.relative_to(SRC.parent))
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.setdefault(stmt.name, []).append((where, stmt))
+                nodes = (
+                    _class_body(stmt, where, definitions)
+                    if isinstance(stmt, ast.ClassDef)
+                    else [stmt]
+                )
+                definitions.setdefault(stmt.name, []).append((where, stmt.name, nodes))
                 dunder = stmt.name.startswith("__") and stmt.name.endswith("__")
                 if stmt.decorator_list or dunder:
                     roots.add(stmt.name)
@@ -136,16 +210,19 @@ def _scan():
         if name in reached:
             continue
         reached.add(name)
-        for _, node in definitions[name]:
-            pending.extend(n for n in _names(node) if n in definitions)
+        for _, _, nodes in definitions[name]:
+            for node in nodes:
+                pending.extend(n for n in _names(node) if n in definitions)
     return definitions, frozenset(reached)
 
 
 def test_only_allowlisted_oracles_are_unreached():
     definitions, reached = _scan()
-    unreached = set(definitions) - reached - set(ORACLES)
     sites = sorted(
-        f"{where}::{name}" for name in unreached for where, _ in definitions[name]
+        f"{where}::{qualname}"
+        for name in set(definitions) - reached
+        for where, qualname, _ in definitions[name]
+        if qualname not in ORACLES
     )
     assert not sites, (
         "no entry point reaches these definitions; delete them, or list "
@@ -155,9 +232,10 @@ def test_only_allowlisted_oracles_are_unreached():
 
 def test_allowlist_is_not_stale():
     definitions, reached = _scan()
-    missing = sorted(name for name in ORACLES if name not in definitions)
+    defined = {qualname for sites in definitions.values() for _, qualname, _ in sites}
+    missing = sorted(key for key in ORACLES if key not in defined)
     assert not missing, f"ORACLES lists names src/repro no longer defines: {missing}"
-    now_reached = sorted(name for name in ORACLES if name in reached)
+    now_reached = sorted(key for key in ORACLES if key.rpartition(".")[2] in reached)
     assert not now_reached, (
         f"ORACLES lists names an entry point now reaches: {now_reached}"
     )
@@ -169,6 +247,6 @@ def test_console_scripts_are_parsed():
 
 
 def test_each_oracle_is_used_by_its_test():
-    for name, (test_file, _) in ORACLES.items():
+    for key, (test_file, _) in ORACLES.items():
         text = (REPO / test_file).read_text(encoding="utf-8")
-        assert name in text, f"{test_file} no longer uses {name}"
+        assert key.rpartition(".")[2] in text, f"{test_file} no longer uses {key}"
