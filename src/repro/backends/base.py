@@ -38,12 +38,12 @@ class ArrayBackend:
         seg_ptr: np.ndarray,
         values: np.ndarray,
         seg_rows: np.ndarray | None = None,
-        bins: tuple[np.ndarray, np.ndarray] | None = None,
+        bin_ptr: np.ndarray | None = None,
     ) -> np.ndarray:
         """Generic segmented h-index over an arbitrary segmentation.
 
         Semantics of :func:`repro.kernels.segments.segment_h_index`; the
-        ``seg_rows`` / ``bins`` hints are optional precomputed layouts.
+        ``seg_rows`` / ``bin_ptr`` hints are optional precomputed layouts.
         """
         raise NotImplementedError
 

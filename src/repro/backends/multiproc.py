@@ -87,21 +87,18 @@ def _range_layout(indptr: np.ndarray, lo: int, hi: int) -> tuple:
     under the graph-global ``2m + n`` it was narrowed for).
     """
     seg_ptr = indptr[lo:hi + 1] - indptr[lo]
-    lens = np.diff(seg_ptr)
     rows = np.arange(hi - lo, dtype=indptr.dtype)
-    bin_ptr = np.zeros(hi - lo + 1, dtype=indptr.dtype)
-    np.cumsum(lens + 1, out=bin_ptr[1:])
-    bins = (bin_ptr, np.repeat(rows, lens + 1))
+    bin_ptr = seg_ptr + np.arange(hi - lo + 1, dtype=indptr.dtype)
     slots = (int(indptr[lo]), int(indptr[hi]))
-    return lo, hi, slots, seg_ptr, np.repeat(rows, lens), bins
+    return lo, hi, slots, seg_ptr, np.repeat(rows, np.diff(seg_ptr)), bin_ptr
 
 
 def _full_sweep_range(graph, h, out, layout) -> None:
     """Recompute ``out[lo:hi]`` from ``h`` for one full-sweep range."""
-    lo, hi, (slot_lo, slot_hi), seg_ptr, seg_rows, bins = layout
+    lo, hi, (slot_lo, slot_hi), seg_ptr, seg_rows, bin_ptr = layout
     values = h[graph.indices[slot_lo:slot_hi]]
     out[lo:hi] = segment_h_index_numpy(
-        seg_ptr, values, seg_rows=seg_rows, bins=bins
+        seg_ptr, values, seg_rows=seg_rows, bin_ptr=bin_ptr
     )
 
 
@@ -224,14 +221,16 @@ class MultiprocBackend(ArrayBackend):
 
     # -- ArrayBackend operations ---------------------------------------
 
-    def segment_h_index(self, seg_ptr, values, seg_rows=None, bins=None):
+    def segment_h_index(self, seg_ptr, values, seg_rows=None, bin_ptr=None):
         """Per-segment h-indices, computed inline on numpy.
 
         Every heavy caller goes through :meth:`sweep_values`; a generic
         segmentation stays on the calling thread.
         """
         self._count_inline()
-        return segment_h_index_numpy(seg_ptr, values, seg_rows=seg_rows, bins=bins)
+        return segment_h_index_numpy(
+            seg_ptr, values, seg_rows=seg_rows, bin_ptr=bin_ptr
+        )
 
     def sweep_values(self, graph, h, vertices=None):
         """One h-index sweep, fanned out over slot-balanced ranges.

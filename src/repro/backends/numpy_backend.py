@@ -32,9 +32,9 @@ def segment_h_index_numpy(
     seg_ptr: np.ndarray,
     values: np.ndarray,
     seg_rows: np.ndarray | None = None,
-    bins: tuple[np.ndarray, np.ndarray] | None = None,
+    bin_ptr: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sort-free segmented h-index: clipped bincount + segment suffix sums.
+    """Sort-free segmented h-index: clipped bincount + one ``searchsorted``.
 
     See :func:`repro.kernels.segments.segment_h_index` for the public
     contract and the algorithm walkthrough; this is the implementation.
@@ -51,30 +51,22 @@ def segment_h_index_numpy(
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
         values = values.astype(np.int64)
-    # Dtype-preserving: int32-narrowed graphs pass int32 seg_ptr/heads/
-    # bins and the histogram keys stay int32 — no per-sweep upcast copy.
+    if bin_ptr is None:
+        bin_ptr = seg_ptr + np.arange(n + 1)
     clipped = np.minimum(values, lens[seg_rows])
-    if bins is None:
-        bin_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens.astype(np.int64) + 1, out=bin_ptr[1:])
-        bin_rows = np.repeat(np.arange(n, dtype=np.int64), lens + 1)
-    else:
-        bin_ptr, bin_rows = bins
     total_bins = int(bin_ptr[-1])
+    # f[p] = (#keys < p) + p, the exclusive prefix sum of hist + 1:
+    # strictly increasing, so one search per segment finds its h-index.
     hist = np.bincount(bin_ptr[seg_rows] + clipped, minlength=total_bins)
-    csum = np.cumsum(hist)
-    positions = np.arange(total_bins, dtype=np.int64)
-    rank = positions - bin_ptr[bin_rows]
-    # count_ge at the bin of rank k (k >= 1) is the segment-suffix sum
-    # hist[k..d], i.e. csum at the segment's last bin minus csum just
-    # before this bin.  Rank-0 bins index csum[-1] harmlessly: they are
-    # masked out below.
-    seg_last = csum[bin_ptr[1:] - 1]
-    count_ge = seg_last[bin_rows] - csum[positions - 1]
-    satisfied = (rank >= 1) & (count_ge >= rank)
-    prefix = np.zeros(total_bins + 1, dtype=np.int64)
-    np.cumsum(satisfied, out=prefix[1:])
-    return prefix[bin_ptr[1:]] - prefix[bin_ptr[:-1]]
+    hist += 1
+    f = np.empty(total_bins, dtype=np.int64)
+    f[0] = 0
+    np.cumsum(hist[:-1], out=f[1:])
+    # int64 targets: they reach 4m + n, past the 2m + n an int32-narrowed
+    # graph's index dtype is sized for.
+    first_bin = bin_ptr[:-1].astype(np.int64)
+    found = np.searchsorted(f, seg_ptr[1:] + first_bin, side="right")
+    return found - first_bin - 1
 
 
 def sweep_values_numpy(
@@ -96,7 +88,7 @@ def sweep_values_numpy(
             graph.indptr,
             h[graph.indices],
             seg_rows=graph.heads(),
-            bins=graph.hindex_bins(),
+            bin_ptr=graph.hindex_bins(),
         )
     vertices = np.asarray(vertices)
     if vertices.size == 0:
@@ -120,9 +112,11 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
 
-    def segment_h_index(self, seg_ptr, values, seg_rows=None, bins=None):
+    def segment_h_index(self, seg_ptr, values, seg_rows=None, bin_ptr=None):
         """Per-segment h-indices via :func:`segment_h_index_numpy`."""
-        return segment_h_index_numpy(seg_ptr, values, seg_rows=seg_rows, bins=bins)
+        return segment_h_index_numpy(
+            seg_ptr, values, seg_rows=seg_rows, bin_ptr=bin_ptr
+        )
 
     def sweep_values(self, graph, h, vertices=None):
         """One h-index sweep via :func:`sweep_values_numpy`."""

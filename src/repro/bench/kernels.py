@@ -100,12 +100,12 @@ def run_kernel_bench(
     # --- wall clock: one full sweep, lexsort vs sort-free ----------------
     h0 = undirected.degrees().astype(np.int64)
     neighbor_values = h0[undirected.indices]
-    bins = undirected.hindex_bins()
+    bin_ptr = undirected.hindex_bins()
 
     def _sort_free_sweep():
         return segment_h_index(
             undirected.indptr, neighbor_values,
-            seg_rows=undirected.heads(), bins=bins,
+            seg_rows=undirected.heads(), bin_ptr=bin_ptr,
         )
 
     if not np.array_equal(_lexsort_full_sweep(undirected, h0), _sort_free_sweep()):

@@ -21,10 +21,13 @@ Discovery"; see ``docs/streaming.md`` for the full argument):
   ``r = min(h[u], h[v])`` can only change core numbers of vertices with
   ``h == r`` reachable from the endpoints through vertices with
   ``h == r`` (an insertion raises them by at most 1, a deletion lowers
-  by at most 1).  The affected region is that BFS closure plus the
-  endpoints; a *min-clamped* Gauss–Seidel sweep over just that region
-  (boundary values frozen at the old fixed point) terminates at the
-  exact new core numbers.
+  by at most 1).  The affected region is that closure plus the
+  endpoints; one peel of the region at the update's target level (the
+  subcore-then-evict traversal of Sarıyüce et al.'s streaming k-core
+  maintenance) gives the exact new core numbers.  Both run over Python
+  ints, reading ``h`` and the base CSR through memoryviews: regions are
+  tens to hundreds of vertices, where NumPy call overhead would
+  dominate.
 
 A refresh falls back to the historical full rebuild when the batch or
 any region exceeds ``region_fraction * n`` — the fallback keeps
@@ -50,16 +53,9 @@ from ..graph.undirected import UndirectedGraph
 from ..kernels.density import induced_density
 from ..kernels.frontier import frontier_synchronous_sweep
 from ..kernels.segments import concat_ranges
-from ..store.csr import sorted_unique
 from .results import UDSResult
 
 __all__ = ["DynamicKStarCore"]
-
-# Regions at or below this size re-converge through a scalar worklist
-# instead of the vectorised local-subgraph sweep: typical single-update
-# regions are a handful of vertices (often just the endpoints), where
-# per-call array overhead dominates any vectorisation win.
-_SCALAR_REGION = 64
 
 
 class DynamicKStarCore:
@@ -71,6 +67,10 @@ class DynamicKStarCore:
     rebuild when an affected region exceeds ``region_fraction`` of the
     vertex set.  ``overlay_fraction`` bounds the adjacency overlay
     relative to the base CSR before it is compacted.
+
+    ``total_sweeps`` counts one per region peel of the incremental path
+    plus one per clamped sweep of a rebuild; stream answers report it as
+    ``UDSResult.iterations``.
     """
 
     def __init__(
@@ -289,20 +289,6 @@ class DynamicKStarCore:
         self._fold(flips)
         return self._base_graph
 
-    def _current_neighbors(self, v: int) -> np.ndarray:
-        """Neighbour ids of ``v`` in the replayed state (base + overlay)."""
-        nbrs = self._base_graph.neighbors(v)
-        dels = self._ov_del.get(v)
-        if dels:
-            nbrs = nbrs[~np.isin(nbrs, np.fromiter(dels, np.int64))]
-        adds = self._ov_add.get(v)
-        if adds:
-            nbrs = np.concatenate(
-                [np.asarray(nbrs, dtype=np.int64),
-                 np.fromiter(adds, np.int64)]
-            )
-        return np.asarray(nbrs, dtype=np.int64)
-
     # ------------------------------------------------------------------
     # Re-convergence
     # ------------------------------------------------------------------
@@ -401,257 +387,116 @@ class DynamicKStarCore:
         """
         self._fold(self._overlay_keys())
 
-    def _endpoint_unchanged(self, x: int) -> bool:
-        """Exact O(deg) test: is ``h[x]`` still x's recomputed h-index?
-
-        Used on *deletions* only: there h stays a pointwise upper bound
-        on the new cores, and only the two endpoint rows changed, so if
-        both endpoints pass, h is still a fixed point of the h-index
-        operator — hence at most the new cores — while also being at
-        least them: h is still exact, no sweep needed.  (The same test
-        is *not* sound for insertions: the stale h can be a smaller
-        fixed point than the risen core array.)
-        """
-        hx = int(self._h[x])
-        nbrs = self._current_neighbors(x)
-        values = self._h[nbrs]
-        if int((values >= hx).sum()) < hx:
-            return False  # h-index dropped below hx
-        if hx < nbrs.size and int((values >= hx + 1).sum()) >= hx + 1:
-            return False  # h-index rose above hx
-        return True
-
-    def _insert_potential(self, x: int, r: int) -> bool:
-        """Can ``x`` (with ``h == r``) possibly rise after an insertion?
-
-        A riser needs at least ``r + 1`` neighbours whose *new* core is
-        at least ``r + 1``; cores rise by at most one, so those
-        neighbours all have old core at least ``r``.  Counting
-        ``h >= r`` neighbours is therefore a sound O(deg) refutation.
-        """
-        values = self._h[self._current_neighbors(x)]
-        return int((values >= r).sum()) >= r + 1
-
-    def _potential_many(self, cand: np.ndarray, r: int) -> np.ndarray:
-        """Vectorised :meth:`_insert_potential` over a candidate batch."""
-        h = self._h
-        base = self._base_graph
-        degs = base.degrees()[cand]
-        slots = concat_ranges(base.indptr[cand], degs)
-        ok = (h[base.indices[slots]] >= r).astype(np.int64)
-        csum = np.concatenate([[0], np.cumsum(ok)])
-        ends = np.cumsum(degs)
-        counts = csum[ends] - csum[ends - degs]
-        if self._ov_add or self._ov_del:
-            for i, c in enumerate(cand):
-                c = int(c)
-                adds = self._ov_add.get(c)
-                if adds:
-                    counts[i] += sum(1 for w in adds if h[w] >= r)
-                dels = self._ov_del.get(c)
-                if dels:
-                    counts[i] -= sum(1 for w in dels if h[w] >= r)
-        return counts >= r + 1
-
-    def _subcore_closure(
-        self, seeds: list[int], r: int, max_region: int, potential: bool
-    ) -> np.ndarray | None:
-        """Vertices with ``h == r`` reachable from ``seeds`` via ``h == r``.
-
-        The classical single-update affected-region bound: changed
-        vertices form a connected set of ``h == r`` vertices containing
-        an endpoint whose row changed, so only this closure needs to be
-        re-converged.  With ``potential=True`` (insertions) the walk is
-        further restricted to vertices that pass
-        :meth:`_insert_potential` — risers all do, and the restriction
-        is what keeps regions small when a graph has one dominant core
-        value.  Level-synchronised over the base CSR with the overlay
-        patched in; returns None as soon as the region exceeds
-        ``max_region``.
-        """
-        h = self._h
-        n = self._num_vertices
-        base = self._base_graph
-        indptr, indices, degrees = base.indptr, base.indices, base.degrees()
-        visited = np.zeros(n, dtype=bool)
-        rejected = np.zeros(n, dtype=bool)
-        frontier = np.fromiter(seeds, np.int64)
-        visited[frontier] = True
-        count = int(frontier.size)
-        while frontier.size:
-            if count > max_region:
-                return None
-            parts = [indices[concat_ranges(indptr[frontier], degrees[frontier])]]
-            for x in frontier:
-                adds = self._ov_add.get(int(x))
-                if adds:
-                    parts.append(np.fromiter(adds, np.int64))
-            mask = np.zeros(n, dtype=bool)
-            mask[np.concatenate(parts)] = True
-            mask &= (h == r) & ~visited & ~rejected
-            cand = np.flatnonzero(mask)
-            if potential and cand.size:
-                keep = self._potential_many(cand, r)
-                rejected[cand[~keep]] = True
-                cand = cand[keep]
-            visited[cand] = True
-            frontier = cand
-            count += int(cand.size)
-        # The walk ignores overlay deletions when expanding (a superset
-        # of the true adjacency — sound, it can only enlarge the region).
-        if count > max_region:
-            return None
-        return np.flatnonzero(visited)
-
-    def _converge_scalar(self, region: np.ndarray, r: int, op: int) -> int:
-        """Clamped Gauss–Seidel over a small region, scalar worklist style.
-
-        Works directly against the global h array (region neighbours see
-        each other's fresh values; everything outside the region is
-        frozen boundary), so it needs no local subgraph.  Same clamp
-        semantics — every change is a decrease from an upper bound — so
-        the same exactness argument applies (docs/streaming.md).
-
-        Per pop, the common no-change case is decided by one vectorised
-        count (at least ``h[x]`` neighbour values ``>= h[x]`` means the
-        clamped recompute is the identity); the sort-free clipped
-        histogram h-index only runs on actual decreases.
-        """
-        h = self._h
-        members = set(int(x) for x in region)
-        nbr_cache: dict[int, np.ndarray] = {}
-
-        def nbrs_of(x: int) -> np.ndarray:
-            arr = nbr_cache.get(x)
-            if arr is None:
-                arr = self._current_neighbors(x)
-                nbr_cache[x] = arr
-            return arr
-
-        if op > 0:
-            h[region] += h[region] == r
-        for x in region:
-            x = int(x)
-            degree = nbrs_of(x).size
-            if h[x] > degree:
-                h[x] = degree
-        pending = list(members)
-        in_list = set(pending)
-        while pending:
-            x = pending.pop()
-            in_list.discard(x)
-            nbrs = nbrs_of(x)
-            values = h[nbrs]
-            hx = int(h[x])
-            if int((values >= hx).sum()) >= hx:
-                continue  # min(hx, recomputed h-index) == hx
-            counts = np.bincount(
-                np.minimum(values, hx), minlength=hx + 1
-            )
-            suffix = np.cumsum(counts[::-1])[::-1]
-            ks = np.arange(hx + 1)
-            h[x] = int(ks[suffix >= ks].max())
-            for w in nbrs:
-                w = int(w)
-                if w in members and w not in in_list:
-                    pending.append(w)
-                    in_list.add(w)
-        self.total_sweeps += 1
-        return int(region.size)
-
     def _maintain_one(
         self, key: tuple[int, int], op: int, max_region: int
     ) -> int | None:
-        """Re-converge h after one replayed update; return region size.
+        """Re-converge h after one replayed update; return the region size.
 
-        0 when the fast no-change test certifies h is still exact; None
-        when the region overflows ``max_region`` (caller falls back to a
-        rebuild — h is untouched in that case).
+        0 when an O(deg) test certifies that no core number changes;
+        None when the region overflows ``max_region`` (the caller falls
+        back to a rebuild, h untouched).  Otherwise the region is the
+        subcore closure of the seeds and one peel settles it.
+
+        * **Insertion** (``level = r + 1``): only ``h == r`` vertices can
+          rise, by one, and a riser needs at least ``r + 1`` neighbours
+          whose new core is at least ``r + 1``, hence old core at least
+          ``r`` — the O(deg) *potential* test.  The seeds are the
+          endpoints with ``h == r`` that pass it; none certifies no
+          change.
+        * **Deletion** (``level = r``): h stays a pointwise upper bound,
+          and only the endpoint rows changed, so if both endpoints'
+          recomputed h-indices are unchanged h is still the greatest
+          fixed point — exact.  (Not sound for insertions: the stale h
+          can be a smaller fixed point than the risen cores.)  Otherwise
+          the seeds are the endpoints with ``h == r``.
+
+        The closure walks ``h == r`` vertices over the base CSR plus the
+        overlay's additions (a superset of the current adjacency, which
+        can only enlarge the region); for insertions each candidate must
+        also pass the potential test, which keeps regions small when one
+        core value dominates.  The peel then keeps a member at ``level``
+        exactly when at least ``level`` of its current neighbours are
+        members or have ``h > r`` after evictions, and drops the rest to
+        ``level - 1``: since one update moves a core number by at most
+        one, that is the new ``level``-core (docs/streaming.md).
         """
         u, v = key
-        h = self._h
-        r = int(min(h[u], h[v]))
+        h = memoryview(self._h)
+        base = self._base_graph
+        ptr, nbr = memoryview(base.indptr), memoryview(base.indices)
+        adds, dels = self._ov_add, self._ov_del
+        adjacency: dict[int, list[int]] = {}
+
+        def current(x: int) -> list[int]:
+            """x's neighbours now: base row minus deletions plus additions."""
+            out = adjacency.get(x)
+            if out is None:
+                out = nbr[ptr[x]:ptr[x + 1]].tolist()
+                gone = dels.get(x)
+                if gone:
+                    out = [w for w in out if w not in gone]
+                out.extend(adds.get(x, ()))
+                adjacency[x] = out
+            return out
+
+        def can_rise(x: int) -> bool:
+            return len([w for w in current(x) if h[w] >= r]) > r
+
+        def unchanged(x: int) -> bool:
+            hx = h[x]
+            values = [h[w] for w in current(x)]
+            return (len([y for y in values if y >= hx]) >= hx
+                    and len([y for y in values if y > hx]) <= hx)
+
+        r = min(h[u], h[v])
         if op > 0:
-            # Cores rise only if triggered through a root endpoint that
-            # can itself rise; a root that cannot certifies no change.
-            seeds = [
-                x for x in dict.fromkeys((u, v))
-                if h[x] == r and self._insert_potential(x, r)
-            ]
+            level = r + 1
+            seeds = [x for x in key if h[x] == r and can_rise(x)]
             if not seeds:
                 return 0
         else:
-            if self._endpoint_unchanged(u) and self._endpoint_unchanged(v):
+            level = r
+            if unchanged(u) and unchanged(v):
                 return 0
-            seeds = [x for x in dict.fromkeys((u, v)) if h[x] == r]
-        region = self._subcore_closure(seeds, r, max_region, op > 0)
-        if region is None:
+            seeds = [x for x in key if h[x] == r]
+        members = set(seeds)
+        if len(members) > max_region:
             return None
-        if region.size <= _SCALAR_REGION:
-            return self._converge_scalar(region, r, op)
-        k = int(region.size)
-        # Local subgraph: every current edge incident to the region,
-        # relabelled; boundary neighbours come along as extra vertices
-        # whose h stays frozen at the old fixed point.
-        n = self._num_vertices
-        indptr = self._base_graph.indptr
-        indices = self._base_graph.indices
-        degrees = self._base_graph.degrees()
-        slots = concat_ranges(indptr[region], degrees[region])
-        base_tails = np.asarray(indices[slots], dtype=np.int64)
-        base_heads = np.repeat(region, degrees[region]).astype(np.int64)
-        pair_heads: list[np.ndarray] = []
-        pair_tails: list[np.ndarray] = []
-        drop_keys: list[int] = []
-        for x in region:
-            x = int(x)
-            dels = self._ov_del.get(x)
-            if dels:
-                drop_keys.extend(x * n + w for w in dels)
-            adds = self._ov_add.get(x)
-            if adds:
-                added = np.fromiter(adds, np.int64)
-                pair_heads.append(np.full(added.size, x, dtype=np.int64))
-                pair_tails.append(added)
-        if drop_keys:
-            keep = ~np.isin(
-                base_heads * n + base_tails,
-                np.array(drop_keys, dtype=np.int64),
-            )
-            base_heads, base_tails = base_heads[keep], base_tails[keep]
-        pair_heads.append(base_heads)
-        pair_tails.append(base_tails)
-        heads = np.concatenate(pair_heads)
-        tails = np.concatenate(pair_tails)
-        local_id = np.full(n, -1, dtype=np.int64)
-        local_id[region] = np.arange(k, dtype=np.int64)
-        boundary = sorted_unique(tails[local_id[tails] < 0])
-        local_id[boundary] = k + np.arange(boundary.size, dtype=np.int64)
-        local_n = k + int(boundary.size)
-        local_graph = UndirectedGraph.from_edges(
-            local_n, np.stack([local_id[heads], local_id[tails]], axis=1)
-        )
-        h_local = np.concatenate([h[region], h[boundary]])
-        if op > 0:
-            # Insertion: only subcore members (h == r) can rise, by one.
-            h_local[:k] = h_local[:k] + (h_local[:k] == r)
-        h_local[:k] = np.minimum(h_local[:k], local_graph.degrees()[:k])
-        # Min-clamped Jacobi over the region only: clamping makes every
-        # change a decrease (guaranteeing termination and completeness
-        # of the decrease-only frontier), and with the region a superset
-        # of all core changes the final state is the exact new core
-        # array — see docs/streaming.md for the argument.  Jacobi rather
-        # than Gauss–Seidel batches: dense local subgraphs degenerate
-        # the independent-set batching into per-vertex calls.
-        active = np.arange(k, dtype=np.int64)
-        while active.size:
-            h_local, nxt = frontier_synchronous_sweep(
-                local_graph, h_local, frontier=active, clamp=True
-            )
-            self.total_sweeps += 1
-            active = nxt[nxt < k]  # boundary values stay frozen
-        self._h[region] = h_local[:k]
-        return k
+        rejected: set[int] = set()
+        stack = list(seeds)
+        while stack:
+            x = stack.pop()
+            walk = current(x)
+            if dels.get(x):
+                walk = nbr[ptr[x]:ptr[x + 1]].tolist()
+                walk.extend(adds.get(x, ()))
+            for w in walk:
+                if h[w] != r or w in members or w in rejected:
+                    continue
+                if op > 0 and not can_rise(w):
+                    rejected.add(w)
+                    continue
+                members.add(w)
+                if len(members) > max_region:
+                    return None
+                stack.append(w)
+        support = {
+            x: len([w for w in current(x) if w in members or h[w] > r])
+            for x in members
+        }
+        evicted = {x for x, count in support.items() if count < level}
+        stack = list(evicted)
+        while stack:
+            for w in current(stack.pop()):
+                if w in members and w not in evicted:
+                    support[w] -= 1
+                    if support[w] < level:
+                        evicted.add(w)
+                        stack.append(w)
+        for x in members:
+            h[x] = level - 1 if x in evicted else level
+        self.total_sweeps += 1
+        return len(members)
 
     # ------------------------------------------------------------------
     # Queries

@@ -61,10 +61,10 @@ def synchronous_sweep(
 
     Fully vectorised and sort-free: neighbour values are gathered through
     the CSR arrays and each adjacency segment's h-index is computed by the
-    clipped-histogram + segment-suffix-sum kernel
+    clipped-histogram + ``searchsorted`` kernel
     (:func:`~repro.kernels.segments.segment_h_index`) over the graph's
-    cached ``heads()`` / ``hindex_bins()`` scratch buffers — O(m) per
-    sweep instead of the O(m log m) per-sweep ``lexsort`` it replaces.
+    cached ``heads()`` / ``hindex_bins()`` scratch buffers — no sort per
+    sweep, where the kernel it replaced ran an O(m log m) ``lexsort``.
     The recomputation itself runs on the active array backend
     (:func:`~repro.kernels.frontier.hindex_sweep_values`), which may
     split the vertex range across pool threads; outputs are

@@ -198,29 +198,21 @@ class UndirectedGraph:
             ),
         )
 
-    def hindex_bins(self) -> tuple[np.ndarray, np.ndarray]:
-        """Histogram layout for the sort-free segmented h-index kernel.
+    def hindex_bins(self) -> np.ndarray:
+        """Histogram bin pointer for the sort-free segmented h-index kernel.
 
-        Returns ``(bin_ptr, bin_rows)``: vertex ``v`` owns the
-        ``degree(v) + 1`` histogram bins ``bin_ptr[v]:bin_ptr[v + 1]``
-        (one per attainable h-value), and ``bin_rows`` maps each global
-        bin back to its vertex.  Cached and read-only, like ``heads``.
+        Vertex ``v`` owns the ``degree(v) + 1`` histogram bins
+        ``bin_ptr[v]:bin_ptr[v + 1]`` (one per attainable h-value), so
+        ``bin_ptr = indptr + arange(n + 1)``.  Cached and read-only,
+        like ``heads``.
         """
-        bin_ptr = self._cached("hindex_bin_ptr", self._build_hindex_bin_ptr)
-        bin_rows = self._cached(
-            "hindex_bin_rows",
-            lambda: np.repeat(
-                np.arange(self.num_vertices, dtype=self.indptr.dtype),
-                self.degrees() + 1,
+        # Offsets reach 2m + n — the bound index_dtype() narrowed for.
+        return self._cached(
+            "hindex_bin_ptr",
+            lambda: self.indptr + np.arange(
+                self.num_vertices + 1, dtype=self.indptr.dtype
             ),
         )
-        return bin_ptr, bin_rows
-
-    def _build_hindex_bin_ptr(self) -> np.ndarray:
-        # Offsets reach 2m + n — the bound index_dtype() narrowed for.
-        bin_ptr = np.zeros(self.num_vertices + 1, dtype=self.indptr.dtype)
-        np.cumsum(self.degrees() + 1, out=bin_ptr[1:])
-        return bin_ptr
 
     def degree(self, v: int) -> int:
         """Return the degree of vertex ``v``."""

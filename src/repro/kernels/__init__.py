@@ -5,8 +5,9 @@ NumPy formulations of the operations every sweep-based solver spends its
 time in —
 
 * :mod:`~repro.kernels.segments` — segment primitives: concatenating CSR
-  ranges and the sort-free segmented h-index (clipped ``bincount`` +
-  segment suffix sums, O(m) per sweep instead of the O(m log m) lexsort);
+  ranges and the sort-free segmented h-index (clipped ``bincount`` + one
+  ``searchsorted`` over the bins' prefix sum, instead of the O(m log m)
+  lexsort);
 * :mod:`~repro.kernels.frontier` — frontier/active-set sweeps that
   recompute a vertex only when a neighbour's value changed last sweep,
   for both Jacobi (:func:`frontier_synchronous_sweep`) and Gauss–Seidel

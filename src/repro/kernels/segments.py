@@ -8,15 +8,22 @@ h-index of every segment without sorting:
    of length d is at most d, so larger values contribute exactly like d);
 2. a single global ``bincount`` builds per-segment histograms over the
    value range ``0..d`` — segment s owns ``len(s) + 1`` bins, laid out
-   consecutively (``sum(d_s + 1) = m + n`` bins in total);
-3. a global cumulative sum turns the histograms into per-segment suffix
-   sums ``count_ge(k)`` (how many values are >= k), and the h-index is the
-   number of ranks ``k`` in ``1..d`` with ``count_ge(k) >= k`` —
-   ``count_ge`` is non-increasing while ``k`` increases, so the satisfied
-   ranks form a prefix and counting them equals the maximum.
+   consecutively from ``bin_ptr[s] = seg_ptr[s] + s`` (``sum(d_s + 1) =
+   m + n`` bins in total);
+3. over the bins, ``f[p] = (#values binned below p) + p`` is one
+   exclusive prefix sum of ``hist + 1``, so it is strictly increasing.
+   At rank k of segment s it reads ``seg_ptr[s + 1] + bin_ptr[s] + k -
+   count_ge(k)``, where ``count_ge(k)`` is how many of the segment's
+   values are >= k.  The ranks with ``count_ge(k) >= k`` are exactly
+   those where ``f`` stays at or below ``seg_ptr[s + 1] + bin_ptr[s]``,
+   and they form a prefix ``0..h`` of the segment's bins.  So one
+   ``searchsorted(f, seg_ptr[s + 1] + bin_ptr[s], "right")`` per
+   segment, minus ``bin_ptr[s] + 1``, is its h-index.
 
-Total work is O(m + n) with no comparison sort anywhere, against the
-O(m log m) ``lexsort`` of the pre-kernel-layer sweep (kept below as
+Total work is O(m + n log(m + n)): linear passes over the slots and bins
+plus n binary searches in an array that is sorted by construction, with
+no comparison sort anywhere, against the O(m log m) ``lexsort`` of the
+pre-kernel-layer sweep (kept below as
 :func:`reference_segment_h_index` for property tests and benches).
 
 Execution is delegated to the active array backend
@@ -79,7 +86,7 @@ def segment_h_index(
     seg_ptr: np.ndarray,
     values: np.ndarray,
     seg_rows: np.ndarray | None = None,
-    bins: tuple[np.ndarray, np.ndarray] | None = None,
+    bin_ptr: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return the h-index of every segment of ``values`` (sort-free).
 
@@ -93,16 +100,17 @@ def segment_h_index(
         Optional precomputed ``np.repeat(arange(n), diff(seg_ptr))``
         (the owning segment of every slot) — pass a graph's cached
         ``heads()`` buffer to skip rebuilding it every sweep.
-    bins:
-        Optional precomputed ``(bin_ptr, bin_rows)`` histogram layout as
-        returned by ``UndirectedGraph.hindex_bins()``; rebuilt on the fly
-        when absent (the frontier path passes small ad-hoc segments).
+    bin_ptr:
+        Optional precomputed histogram bin pointer ``seg_ptr + arange(n +
+        1)`` as returned by ``UndirectedGraph.hindex_bins()``; rebuilt on
+        the fly when absent (the frontier path passes small ad-hoc
+        segments).
 
     >>> segment_h_index(np.array([0, 4, 4]), np.array([4, 3, 3, 1])).tolist()
     [3, 0]
     """
     return get_backend().segment_h_index(
-        seg_ptr, values, seg_rows=seg_rows, bins=bins
+        seg_ptr, values, seg_rows=seg_rows, bin_ptr=bin_ptr
     )
 
 

@@ -49,15 +49,17 @@ class Query:
 class Response:
     """Outcome of one submitted query.
 
-    ``status`` is ``"ok"`` or ``"rejected"``.  For ``"ok"``, ``result``
+    ``status`` is ``"ok"``, ``"rejected"`` or ``"failed"``.  For ``"ok"``, ``result``
     is the engine result (bit-identical to a direct ``engine.run`` of
     the same query) and ``result.report.serve`` holds the serve
     statistics, which :attr:`queue_wait_s`, :attr:`batch_size` and
     :attr:`coalesced` read.  For ``"rejected"``, ``result`` is None,
     ``reason``/``retry_after_s`` carry the admission-control verdict
     (see :class:`~repro.errors.ServeRejected`) and the serve statistics
-    read 0.  ``latency_s`` is wall-clock submit-to-completion time under
-    the server's clock (0.0 for rejections, which never enter the queue).
+    read 0.  For ``"failed"``, the query's flight raised: ``result`` is
+    None and ``reason`` names the exception's type and message.
+    ``latency_s`` is wall-clock submit-to-completion time under the
+    server's clock (0.0 for rejections, which never enter the queue).
     """
 
     query: Query

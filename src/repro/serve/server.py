@@ -36,7 +36,7 @@ from ..backends import resolve_backend_name
 from ..datasets.registry import get_spec, load_directed, load_undirected
 from ..engine import ExecutionContext, ServeRecord, resolve_solver, stamp_report
 from ..engine import run as engine_run
-from ..errors import ServeRejected
+from ..errors import EngineError, ServeRejected
 from ..store.memo import ResultCache, clone_result, make_cache_key
 from .query import Query, Response
 from .quota import TenantQuotas
@@ -52,7 +52,9 @@ class ServerStats:
     ``cache_hits`` counts flights answered by the result cache;
     ``coalesced_queries`` counts queries that attached to another
     query's flight (followers only, so ``completed = solver_runs +
-    cache_hits + coalesced_queries``). ``peak_queue_depth`` is the
+    cache_hits + coalesced_queries``). ``failed`` counts queries whose
+    flight raised; they are answered with ``status="failed"`` and are
+    not ``completed``. ``peak_queue_depth`` is the
     admission queue's observed high-water mark — bounded by
     ``max_queue_depth`` by construction, which is the "no unbounded
     queue growth" guarantee the overload bench asserts.
@@ -66,6 +68,7 @@ class ServerStats:
     solver_runs: int = 0
     cache_hits: int = 0
     coalesced_queries: int = 0
+    failed: int = 0
     batches: int = 0
     flights: int = 0
     peak_queue_depth: int = 0
@@ -192,6 +195,13 @@ class DsdServer:
             return ("__uncacheable__", seq)
         return key
 
+    def _validate(self, query: Query) -> tuple[Any, Any]:
+        """Resolve ``query``'s graph and solver and check its option names."""
+        graph = self._resolve_graph(query.dataset)
+        spec = resolve_solver(query.solver, graph)
+        spec.check_options(query.params)
+        return graph, spec
+
     # -- admission --------------------------------------------------------
 
     @property
@@ -211,9 +221,7 @@ class DsdServer:
         """
         now = self._clock()
         self.stats.submitted += 1
-        graph = self._resolve_graph(query.dataset)
-        spec = resolve_solver(query.solver, graph)
-        spec.check_options(query.params)
+        graph, spec = self._validate(query)
         if len(self._queue) >= self.max_queue_depth:
             self.stats.rejected_queue_full += 1
             raise ServeRejected(
@@ -289,6 +297,10 @@ class DsdServer:
         independent clones.  Every response's report carries a
         :class:`~repro.engine.report.ServeRecord` with its own
         ``queue_wait_s`` and the flight's ``batch_size``/``coalesced``.
+
+        A flight whose run raises answers each of its queries with a
+        ``status="failed"`` response naming the exception; the other
+        flights are served as usual.
         """
         pending = list(self._queue)
         self._queue.clear()
@@ -310,9 +322,25 @@ class DsdServer:
             for members in batch_flights:
                 leader = members[0]
                 started = self._clock()
-                result = self._run_flight(leader)
+                failure = None
+                try:
+                    result = self._run_flight(leader)
+                except Exception as exc:  # repro-lint: disable=R002 (server boundary: a raising flight fails only its own queries)
+                    failure = f"{type(exc).__name__}: {exc}"
                 finished = self._clock()
                 self.stats.flights += 1
+                if failure is not None:
+                    self.stats.failed += len(members)
+                    ordered.extend(
+                        (item.seq, Response(
+                            query=item.query,
+                            status="failed",
+                            reason=failure,
+                            latency_s=max(0.0, finished - item.enqueued_at),
+                        ))
+                        for item in members
+                    )
+                    continue
                 self.stats.coalesced_queries += len(members) - 1
                 for index, item in enumerate(members):
                     answer = result if index == 0 else clone_result(result)
@@ -343,7 +371,20 @@ class DsdServer:
         Rejected queries become ``status="rejected"`` responses instead
         of raising, so replay harnesses can account shed traffic without
         try/except at every call site.
+
+        The whole burst is validated (dataset, solver and option names)
+        before any of it is queued, so a bad query raises with nothing
+        left queued.  The drain answers everything queued, so ``serve``
+        refuses to run while earlier :meth:`submit` calls wait for
+        :meth:`drain`: their answers would otherwise be lost.
         """
+        if self._queue:
+            raise EngineError(
+                f"serve() needs an empty queue, but {len(self._queue)} "
+                "submitted queries are waiting; call drain() first"
+            )
+        for query in queries:
+            self._validate(query)
         admitted: list[int] = []
         rejections: dict[int, Response] = {}
         for position, query in enumerate(queries):

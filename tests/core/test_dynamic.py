@@ -14,6 +14,8 @@ from repro.core.dynamic import DynamicKStarCore
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph import UndirectedGraph, gnm_random_undirected
 
+from .upkeep_reference import ReferenceUpkeep
+
 
 def _nx_core_numbers(edges, n):
     g = nx.Graph(edges)
@@ -326,3 +328,124 @@ class TestStoreAgainstSetModel:
         tight = _drive_against_model(2, 120, 30, region_fraction=0.05)
         assert tight["upfront"] > 0
         assert tight["mid_batch"] > 0
+
+
+def _record_updates(tracker):
+    """Log ``(key, op, region size or None, cores)`` per replayed update."""
+    log = []
+    maintain = tracker._maintain_one
+
+    def recording(key, op, max_region):
+        size = maintain(key, op, max_region)
+        cores = None if size is None else tracker._h.tolist()
+        log.append((key, op, size, cores))
+        return size
+
+    tracker._maintain_one = recording
+    return log
+
+
+def _block_graph(rng, blocks, size):
+    """Random blocks of growing density plus sparse links between them.
+
+    Each block's core numbers cluster on one value, so a deletion inside
+    a block walks most of it: regions of 65–120 vertices.
+    """
+    parts = [
+        gnm_random_undirected(
+            size, size * (2 + i), seed=int(rng.integers(2**31))
+        ).edges() + i * size
+        for i in range(blocks)
+    ]
+    n = blocks * size
+    links = rng.integers(0, n, size=(n // 10, 2))
+    parts.append(links[links[:, 0] != links[:, 1]])
+    return n, np.concatenate(parts)
+
+
+def _lockstep(seed, region_fraction, batches=10, batch_size=12, blocks=5,
+              size=100):
+    """Replay one random timeline through the library and the reference.
+
+    Mixed batches (deletions of present edges, re-inserts of deleted
+    base edges, insertions inside a block) are read with ``k_star()``
+    only, so nothing folds the overlay between batches; overlay
+    compaction is off.  After every replayed update both sides must
+    report the same region size or overflow and the same core numbers.
+    Returns how many updates fell in each region class.
+    """
+    rng = np.random.default_rng(seed)
+    n, edges = _block_graph(rng, blocks, size)
+    pair = [cls(n, region_fraction=region_fraction, overlay_fraction=1e6)
+            for cls in (DynamicKStarCore, ReferenceUpkeep)]
+    for tracker in pair:
+        tracker.insert_edges(edges)
+        tracker.k_star()
+    logs = [_record_updates(tracker) for tracker in pair]
+    present = sorted({_canonical(int(u), int(v)) for u, v in edges})
+    live, deleted = set(present), []
+    kinds: Counter = Counter()
+    for _ in range(batches):
+        for _ in range(batch_size):
+            coin = rng.random()
+            if coin < 0.4:
+                key = present[int(rng.integers(len(present)))]
+                if key in live:
+                    live.discard(key)
+                    deleted.append(key)
+                for tracker in pair:
+                    tracker.delete_edge(*key)
+                continue
+            if coin < 0.6 and deleted:
+                key = deleted[int(rng.integers(len(deleted)))]
+            else:
+                block = int(rng.integers(blocks)) * size
+                u, v = (int(x) + block for x in rng.integers(0, size, 2))
+                if u == v:
+                    continue
+                key = _canonical(u, v)
+            live.add(key)
+            for tracker in pair:
+                tracker.insert_edge(*key)
+        assert pair[0].k_star() == pair[1].k_star()
+        assert logs[0] == logs[1]
+        for _, _, region, _ in logs[0]:
+            kinds["overflow" if region is None else
+                  "none" if region == 0 else
+                  "large" if region > 64 else "small"] += 1
+        logs[0].clear()
+        logs[1].clear()
+        assert np.array_equal(pair[0]._h, pair[1]._h)
+        for name in ("affected_last", "affected_total", "rebuilds",
+                     "incremental_refreshes"):
+            assert pair[0].stats()[name] == pair[1].stats()[name], name
+    cores = _nx_core_numbers(sorted(live), n)
+    assert pair[0].core_numbers().tolist() == [cores[v] for v in range(n)]
+    return kinds
+
+
+class TestUpkeepAgainstReference:
+    """The subcore walk and peel against the NumPy closure and converge."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           region_fraction=st.sampled_from([0.05, 0.15, 0.25]))
+    @settings(max_examples=12, deadline=None)
+    def test_lockstep_per_update(self, seed, region_fraction):
+        _lockstep(seed, region_fraction)
+
+    def test_every_region_class_occurs(self):
+        kinds = Counter()
+        for seed in range(4):
+            for region_fraction in (0.05, 0.25):
+                kinds.update(_lockstep(seed, region_fraction))
+        assert set(kinds) == {"overflow", "none", "large", "small"}
+
+    def test_one_sweep_per_region_peel(self):
+        tracker = DynamicKStarCore(4, region_fraction=1.0)
+        tracker.insert_edges([(0, 1), (1, 2)])
+        tracker.k_star()
+        sweeps = tracker.total_sweeps
+        tracker.insert_edge(0, 2)  # the triangle: a region of three
+        assert tracker.k_star() == 2
+        assert tracker.affected_last == 3
+        assert tracker.total_sweeps == sweeps + 1

@@ -117,8 +117,7 @@ class TestAccessors:
         assert g.memory_bytes() == expected
         expected += g.heads().nbytes
         assert g.memory_bytes() == expected
-        bin_ptr, bin_rows = g.hindex_bins()
-        expected += bin_ptr.nbytes + bin_rows.nbytes
+        expected += g.hindex_bins().nbytes
         assert g.memory_bytes() == expected
         # Re-requesting cached buffers must not grow the accounting.
         g.degrees(), g.heads(), g.hindex_bins()

@@ -85,6 +85,36 @@ class TestSegmentHIndex:
         values = np.array([100, 100, 100])
         assert segment_h_index(seg_ptr, values).tolist() == [3]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int32_segment_pointers(self, seed):
+        # An int32-narrowed graph hands over int32 seg_ptr, heads and bin
+        # pointer; the search targets still need int64.
+        rng = np.random.default_rng(100 + seed)
+        seg_ptr, values = random_segments(rng, 50, 20, 25)
+        narrow = seg_ptr.astype(np.int32)
+        rows = np.repeat(np.arange(narrow.size - 1, dtype=np.int32),
+                         np.diff(narrow))
+        bin_ptr = narrow + np.arange(narrow.size, dtype=np.int32)
+        expected = reference_segment_h_index(seg_ptr, values)
+        for out in (segment_h_index(narrow, values),
+                    segment_h_index(narrow, values, seg_rows=rows,
+                                    bin_ptr=bin_ptr)):
+            assert out.dtype == np.int64
+            assert np.array_equal(out, expected)
+
+    def test_values_all_above_their_segment_length(self):
+        # Every value clips into its segment's last bin: h = length.
+        rng = np.random.default_rng(3)
+        lens = rng.integers(0, 12, size=40)
+        seg_ptr = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=seg_ptr[1:])
+        values = np.repeat(lens, lens) + rng.integers(1, 50, size=int(lens.sum()))
+        assert segment_h_index(seg_ptr, values).tolist() == lens.tolist()
+        assert np.array_equal(
+            segment_h_index(seg_ptr.astype(np.int32), values),
+            reference_segment_h_index(seg_ptr, values),
+        )
+
     def test_precomputed_rows_and_bins_match_adhoc(self):
         rng = np.random.default_rng(11)
         seg_ptr, values = random_segments(rng, 30, 12, 15)
@@ -92,10 +122,7 @@ class TestSegmentHIndex:
         seg_rows = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
         bin_ptr = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens + 1, out=bin_ptr[1:])
-        bin_rows = np.repeat(np.arange(lens.size, dtype=np.int64), lens + 1)
         assert np.array_equal(
             segment_h_index(seg_ptr, values),
-            segment_h_index(
-                seg_ptr, values, seg_rows=seg_rows, bins=(bin_ptr, bin_rows)
-            ),
+            segment_h_index(seg_ptr, values, seg_rows=seg_rows, bin_ptr=bin_ptr),
         )

@@ -354,3 +354,51 @@ class TestLifecycle:
         # Still usable afterwards (registry datasets re-resolve).
         response, = server.serve([Query("PT", "charikar")])
         assert response.ok
+
+
+class TestFailurePairing:
+    """A bad or raising query never shifts or drops another's answer."""
+
+    def test_bad_query_mid_burst_queues_nothing(self, graphs):
+        server = make_server(graphs)
+        with pytest.raises(AlgorithmError):
+            server.serve([Query("alpha", "pkmc"), Query("alpha", "nope")])
+        assert server.queue_depth == 0
+        response, = server.serve([Query("alpha", "charikar")])
+        assert response.query.solver == "charikar"
+        expected = engine_run("charikar", graphs["alpha"], ExecutionContext())
+        assert_bit_identical(response.result, expected)
+
+    def test_serve_refuses_a_queue_left_by_submit(self, graphs):
+        server = make_server(graphs)
+        server.submit(Query("alpha", "pkmc"))
+        with pytest.raises(EngineError, match=r"drain\(\)"):
+            server.serve([Query("alpha", "charikar")])
+        response, = server.drain()
+        assert response.query.solver == "pkmc"
+        assert response.ok
+
+    def test_raising_flight_fails_alone(self, graphs):
+        server = make_server(graphs)
+        server.submit(Query("alpha", "pkmc"))
+        bad = Query("alpha", "pbu", params={"epsilon": "abc"})
+        server.submit(bad)
+        server.submit(bad)  # a follower of the failing flight
+        server.submit(Query("alpha", "charikar"))
+        responses = server.drain()
+        assert [r.status for r in responses] == ["ok", "failed", "failed", "ok"]
+        assert [r.query.solver for r in responses] == [
+            "pkmc", "pbu", "pbu", "charikar"]
+        assert responses[1].reason.startswith("TypeError: ")
+        assert responses[1].result is None
+        for response in (responses[0], responses[3]):
+            expected = engine_run(
+                response.query.solver, graphs["alpha"], ExecutionContext()
+            )
+            assert_bit_identical(response.result, expected)
+        stats = server.stats
+        assert (stats.accepted, stats.completed, stats.failed) == (4, 2, 2)
+        assert stats.completed == (
+            stats.solver_runs + stats.cache_hits + stats.coalesced_queries
+        )
+        assert server.queue_depth == 0
