@@ -32,9 +32,10 @@ def local_core_decomposition(
 
     ``iterations`` counts every sweep including the final one that detects
     convergence, matching how the paper's Table 6 counts Local.  After the
-    first full sweep, each sweep recomputes — and charges to the runtime —
-    only vertices with a changed neighbour; the per-sweep arrays, and
-    hence the iteration count, are those of full sweeping.
+    first full sweep, each sweep charges the runtime for the vertices with
+    a changed neighbour and recomputes only those a changed neighbour fell
+    below; the per-sweep arrays, and hence the iteration count, are those
+    of full sweeping.
     """
     n = graph.num_vertices
     h = graph.degrees().astype(np.int64)
@@ -42,18 +43,18 @@ def local_core_decomposition(
     sweep_costs = graph.degrees().astype(np.float64) + 4.0
     iterations = 0
     rt = runtime
-    active: np.ndarray | None = None
+    woken: np.ndarray | None = None
+    frontier: np.ndarray | None = None
     while iterations < limit:
         if rt is not None:
-            rt.parfor(sweep_costs if active is None else sweep_costs[active])
-        new_h, active = frontier_synchronous_sweep(
-            graph, h, frontier=active, runtime=rt
+            rt.parfor(sweep_costs if woken is None else sweep_costs[woken])
+        new_h, woken, frontier = frontier_synchronous_sweep(
+            graph, h, frontier=frontier, runtime=rt
         )
         iterations += 1
-        # An empty next frontier certifies the fixed point (a changed
-        # vertex always wakes its neighbours, and changing requires
-        # degree >= 1).
-        if active.size == 0:
+        # An empty woken set certifies the fixed point (a changed vertex
+        # always wakes its neighbours, and changing requires degree >= 1).
+        if woken.size == 0:
             break
         h = new_h
     return new_h if iterations else h, iterations

@@ -325,16 +325,18 @@ class DynamicKStarCore:
             bump[self._h >= floor] = len(insertions)
         warm = np.minimum(self._h + bump, degrees)
         h = np.maximum(warm, 0)
-        active = None
+        frontier = None
         while True:
             # Clamped: the warm state is an upper bound but not the
             # degrees, and the decrease-only frontier tracking needs the
-            # iteration monotone (docs/streaming.md).
-            h, active = frontier_synchronous_sweep(
-                graph, h, frontier=active, clamp=True
+            # iteration monotone (docs/streaming.md).  The loop ends on
+            # an empty woken set, so total_sweeps counts what full
+            # sweeps would.
+            h, woken, frontier = frontier_synchronous_sweep(
+                graph, h, frontier=frontier, clamp=True
             )
             self.total_sweeps += 1
-            if active.size == 0:
+            if woken.size == 0:
                 break
         self._h = h
         self.rebuilds += 1

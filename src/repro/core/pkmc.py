@@ -75,9 +75,10 @@ def pkmc(
     runtime:
         Optional :class:`SimRuntime` used to account the simulated parallel
         cost of every sweep (one ``parfor`` over the vertices the sweep
-        recomputes — all of them on the first sweep, then only those with
-        a changed neighbour — plus a parallel reduction for ``h_max`` and
-        its multiplicity).  With
+        wakes — all of them on the first sweep, then those with a changed
+        neighbour, of which only the ones a neighbour fell below are
+        recomputed — plus a parallel reduction for ``h_max`` and its
+        multiplicity).  With
         ``SimRuntime(sanitize=True)`` the sweeps additionally execute their
         per-vertex kernels under the parfor race sanitizer (the
         ``degree_order`` sweep is annotated order-dependent, so both modes
@@ -117,7 +118,8 @@ def pkmc(
     early_stop_fired = False
 
     sweep_costs = _sweep_costs(graph)
-    active: np.ndarray | None = None  # Jacobi frontier (None = full sweep)
+    woken: np.ndarray | None = None  # Jacobi woken set (None = all, sweep 1)
+    frontier: np.ndarray | None = None  # the woken vertices recomputed
     dirty: np.ndarray | None = None  # Gauss–Seidel dirty mask
     batches = gauss_seidel_batches(graph, order) if sweep == "degree_order" else None
 
@@ -126,15 +128,16 @@ def pkmc(
         rt.parfor(np.full(graph.num_vertices, 2.0))
         while iterations < limit:
             if sweep == "synchronous":
-                # Charge only the recomputed frontier (all n on sweep 1).
-                rt.parfor(sweep_costs if active is None else sweep_costs[active])
-                new_h, active = frontier_synchronous_sweep(
-                    graph, h, frontier=active, runtime=rt
+                # Charge the woken set (all n on sweep 1); the kernel
+                # recomputes only its frontier.
+                rt.parfor(sweep_costs if woken is None else sweep_costs[woken])
+                new_h, woken, frontier = frontier_synchronous_sweep(
+                    graph, h, frontier=frontier, runtime=rt
                 )
                 # Changed vertices have degree >= 1 (h starts at the
                 # degrees), so they always wake at least one neighbour:
-                # an empty next frontier means nothing changed.
-                changed = active.size > 0
+                # an empty woken set means nothing changed.
+                changed = woken.size > 0
             else:
                 new_h, dirty, processed = frontier_inplace_sweep(
                     graph, h.copy(), dirty=dirty, batches=batches, runtime=rt

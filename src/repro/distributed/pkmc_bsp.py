@@ -9,7 +9,9 @@ neighbour values — so the Pregel port is direct:
   h-index from the latest neighbour values; vertices whose value
   *changed* message the new value to their neighbours (the standard
   Pregel "halt until woken" optimisation — unchanged vertices stay
-  silent and cost nothing);
+  silent and cost nothing).  The model charges every woken vertex; the
+  kernel recomputes only those a message came from below, since a
+  neighbour that stays at or above h(v) cannot move h(v);
 * a global aggregator tracks (h_max, count-at-h_max) each superstep and
   fires the paper's Theorem-1 early stop exactly as in shared memory.
 
@@ -21,11 +23,11 @@ The input picks the partition.  An in-memory graph is hash partitioned
 (vertex v on worker v mod W) and swept with the monolithic frontier
 kernels.  A :class:`~repro.store.shard.ShardedGraph` puts each shard on
 its own worker: supersteps stream the shards through the facade's memory
-budget in index order, skipping shards with no woken vertex, and remote
-neighbours are counted from the shards' boundary tables.  Because an
-update reads only neighbour values, the partition decides which worker
-pays for a superstep, never what it computes: core, density and
-superstep trace are identical for both.
+budget in index order, skipping shards with no vertex to recompute,
+and remote neighbours are counted from the shards' boundary tables.
+Because an update reads only neighbour values, the partition decides
+which worker pays for a superstep, never what it computes: core,
+density and superstep trace are identical for both.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ from ..engine.spec import register_solver
 from ..errors import EmptyGraphError
 from ..graph.undirected import UndirectedGraph
 from ..kernels.density import induced_density
-from ..kernels.frontier import _scalar_h_index, frontier_synchronous_sweep
-from ..kernels.shard import (
-    shard_adjacency_slots,
-    shard_induced_edge_count,
-    shard_sweep_values,
+from ..kernels.frontier import (
+    _scalar_h_index,
+    frontier_synchronous_sweep,
+    lower_neighbour_floor,
+    split_woken,
+    unwoken_floor,
 )
+from ..kernels.shard import shard_induced_edge_count, shard_sweep_values
 from ..runtime.simruntime import SimRuntime
 from ..store.shard import ShardedGraph
 from .cluster import BSPAccountant, ClusterConfig
@@ -69,54 +73,63 @@ def _shard_cross_counts(graph: ShardedGraph) -> np.ndarray:
 def _sweep_shards(
     graph: ShardedGraph,
     h: np.ndarray,
+    woken: np.ndarray | None,
     frontier: np.ndarray | None,
     degrees: np.ndarray,
     cross_counts: np.ndarray,
     sanitizer: SimRuntime | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One superstep shard by shard; ``(new_h, woken, compute, sent)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One superstep shard by shard; ``(new_h, woken, frontier, compute, sent)``.
 
-    Each shard adds its work units and cross-shard messages to its own
-    worker's slot of ``compute`` / ``sent``.
+    Each shard adds the work units of its woken vertices and the
+    cross-shard messages of its changed ones to its own worker's slot of
+    ``compute`` / ``sent``.  Only shards holding ``frontier`` members are
+    loaded and swept (``None`` means every vertex, the first superstep).
+    The next woken set and frontier are split after the last shard, when
+    every new value is final.
     """
     bounds = graph.bounds
     new_h = h.copy()
-    woken = np.zeros(graph.num_vertices, dtype=bool)
+    floor = unwoken_floor(graph.num_vertices)
     compute = np.zeros(graph.num_shards, dtype=np.float64)
     sent = np.zeros(graph.num_shards, dtype=np.float64)
     for index in range(graph.num_shards):
         lo, hi = int(bounds[index]), int(bounds[index + 1])
-        if frontier is None:
+        if woken is None:
             members = np.arange(lo, hi)
+        else:
+            i0, i1 = np.searchsorted(woken, (lo, hi))
+            members = woken[i0:i1]
+        compute[index] += float(degrees[members].sum()) + _H_UPDATE_UNITS * members.size
+        if frontier is None:
+            rows, recompute = None, members
         else:
             i0, i1 = np.searchsorted(frontier, (lo, hi))
             if i0 == i1:
-                continue  # nothing woken here: the shard stays cold
-            members = frontier[i0:i1]
+                continue  # nothing to recompute here: the shard stays cold
+            rows = recompute = frontier[i0:i1]
         shard = graph.shard(index)
         indptr, indices = shard.indptr, shard.indices
         if sanitizer is not None:
 
-            def body(i, old, new, ids=members, ptr=indptr, idx=indices, lo=lo):
+            def body(i, old, new, ids=recompute, ptr=indptr, idx=indices, lo=lo):
                 v = int(ids[i])
                 r = v - lo
                 new[v] = _scalar_h_index(old[idx[ptr[r]:ptr[r + 1]]])
 
             sanitizer.observe_parfor(
-                members.size, body, {"old": h, "new": new_h},
+                recompute.size, body, {"old": h, "new": new_h},
                 label="sharded_sweep",
             )
         else:
-            rows = None if frontier is None else members
-            new_h[members] = shard_sweep_values(
+            new_h[recompute] = shard_sweep_values(
                 indptr, indices, h, vertices=rows, vertex_offset=lo
             ).astype(h.dtype, copy=False)
-        changed = members[new_h[members] < h[members]]
-        compute[index] += float(degrees[members].sum()) + _H_UPDATE_UNITS * members.size
+        changed = recompute[new_h[recompute] < h[recompute]]
         if changed.size:
-            woken[indices[shard_adjacency_slots(indptr, changed, lo)]] = True
+            lower_neighbour_floor(floor, indptr, indices, changed, new_h, lo)
             sent[index] += float(cross_counts[changed].sum())
-    return new_h, np.flatnonzero(woken), compute, sent
+    return (new_h, *split_woken(floor, new_h), compute, sent)
 
 
 def _shard_density(graph: ShardedGraph, vertices: np.ndarray) -> float:
@@ -199,24 +212,25 @@ def distributed_pkmc(
     )
 
     supersteps = 1
-    # Frontier of vertices that received a message last superstep; None
-    # means everyone (superstep 0 messaged all neighbours).
+    # Vertices that received a message last superstep; None means
+    # everyone (superstep 0 messaged all neighbours).  The frontier is
+    # the woken vertices a message came from below: only they recompute.
+    woken: np.ndarray | None = None
     frontier: np.ndarray | None = None
     early_stop_fired = False
     history = [(h_max, count_at_max)]
     while supersteps < limit:
-        # Work: only vertices that received a message recompute — exactly
-        # the frontier the sweep kernels track (neighbours of vertices
-        # that changed last superstep).
+        # Work: every vertex that received a message is charged, as in
+        # Pregel; the kernels recompute only its frontier, which is exact.
         if sharded:
-            new_h, woken, compute, sent = _sweep_shards(
-                graph, h, frontier, degrees, cross_counts, sanitizer
+            new_h, next_woken, frontier, compute, sent = _sweep_shards(
+                graph, h, woken, frontier, degrees, cross_counts, sanitizer
             )
         else:
-            new_h, woken = frontier_synchronous_sweep(
+            new_h, next_woken, frontier = frontier_synchronous_sweep(
                 graph, h, frontier=frontier, runtime=sanitizer
             )
-            active = np.arange(n) if frontier is None else frontier
+            active = np.arange(n) if woken is None else woken
             changed = active[new_h[active] < h[active]]
             # The in-memory block spreads over the hash partition's owners.
             compute = np.bincount(
@@ -243,9 +257,9 @@ def distributed_pkmc(
             h = new_h
             early_stop_fired = True
             break
-        # Next superstep: only neighbours of changed vertices recompute.
+        # Next superstep: only neighbours of changed vertices are woken.
         h, h_max, count_at_max = new_h, new_h_max, new_count
-        frontier = woken
+        woken = next_woken
         if woken.size == 0:
             break
 

@@ -9,9 +9,11 @@ time in —
   ``searchsorted`` over the bins' prefix sum, instead of the O(m log m)
   lexsort);
 * :mod:`~repro.kernels.frontier` — frontier/active-set sweeps that
-  recompute a vertex only when a neighbour's value changed last sweep,
-  for both Jacobi (:func:`frontier_synchronous_sweep`) and Gauss–Seidel
-  (:func:`frontier_inplace_sweep` over independent-set batches);
+  recompute a vertex only when a neighbour's value changed last sweep:
+  Jacobi (:func:`frontier_synchronous_sweep`) narrows that to the
+  vertices a changed neighbour fell below and also returns the wider
+  woken set the cost models charge; Gauss–Seidel
+  (:func:`frontier_inplace_sweep`) runs over independent-set batches;
 * :mod:`~repro.kernels.density` — the shared induced-edge scan behind
   every ``|E(S)|/|S|`` density report, on the graph's cached ``heads``
   scratch buffer.

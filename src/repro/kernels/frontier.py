@@ -1,16 +1,22 @@
 """Frontier (active-set) h-index sweeps.
 
 After the first few sweeps of the h-index iteration almost every vertex is
-already at its fixed point; a vertex's next value can only differ from its
-current one if a *neighbour's* value changed in the previous sweep.  The
-frontier sweeps exploit exactly that:
+already at its fixed point.  The frontier sweeps recompute only the
+vertices whose next value can still differ from the current one:
 
 * :func:`frontier_synchronous_sweep` — Jacobi: recomputes only the given
-  frontier and returns the next frontier (all neighbours of vertices that
-  changed).  Seeded with ``frontier=None`` (a full sweep), the per-sweep
-  arrays are *identical* to full Jacobi sweeps — skipped vertices could
-  not have changed — so convergence, iteration counts and the Theorem-1
-  early-stop trace are untouched.
+  frontier and returns two sets derived from the vertices it changed.
+  The *woken* set is every neighbour of a changed vertex (the vertices a
+  Pregel program would message, which the cost models charge); the next
+  *frontier* is the woken vertices with a changed neighbour whose new
+  value fell strictly below their own.  Only the frontier is recomputed
+  next sweep.  The skip is exact for a monotone iteration (started from
+  the degrees, or clamped): there ``H(min(x, c)) = min(H(x), c)``, so a
+  vertex v whose changed neighbours all still sit at or above ``h(v)``
+  keeps ``h(v)``.  Seeded with ``frontier=None`` (a full sweep), the
+  per-sweep arrays are *identical* to full Jacobi sweeps, so
+  convergence, iteration counts and the Theorem-1 early-stop trace are
+  untouched; an empty woken set certifies the fixed point.
 * :func:`frontier_inplace_sweep` — Gauss–Seidel over a dirty-set: the
   caller's order is pre-planned into maximal independent-set batches
   (:func:`gauss_seidel_batches`); each batch updates its dirty members
@@ -19,8 +25,9 @@ frontier sweeps exploit exactly that:
   neighbours for *later batches of the same sweep* as well as the next
   sweep — reproducing full Gauss–Seidel's array evolution exactly.
 
-Simulated-cost accounting stays with the callers, which now charge only
-the processed frontier instead of all n vertices per sweep.  Under
+Simulated-cost accounting stays with the callers: the Jacobi callers
+charge the woken set (all n vertices on the first sweep), the
+Gauss–Seidel caller the processed dirty set.  Under
 ``SimRuntime(sanitize=True)`` both sweeps route their per-vertex kernels
 through :meth:`SimRuntime.observe_parfor` like the full sweeps do; the
 batch loops are iteration-independent (independent sets), so they come
@@ -42,12 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "hindex_sweep_values",
+    "unwoken_floor",
+    "lower_neighbour_floor",
+    "split_woken",
     "frontier_synchronous_sweep",
     "frontier_inplace_sweep",
     "gauss_seidel_batches",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# Floor of a vertex no changed neighbour has woken.
+_UNWOKEN = np.iinfo(np.int64).max
 
 
 def hindex_sweep_values(
@@ -76,7 +88,7 @@ def _scalar_h_index(values: np.ndarray) -> int:
 
 
 def _neighbors_of(graph: "UndirectedGraph", vertices: np.ndarray) -> np.ndarray:
-    """Sorted unique neighbour ids of a vertex batch (the next frontier)."""
+    """Sorted unique neighbour ids of a vertex batch (to mark dirty)."""
     if vertices.size == 0:
         return _EMPTY
     slots = concat_ranges(graph.indptr[vertices], graph.degrees()[vertices])
@@ -85,20 +97,66 @@ def _neighbors_of(graph: "UndirectedGraph", vertices: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def unwoken_floor(num_vertices: int) -> np.ndarray:
+    """A per-vertex neighbour floor with no vertex woken yet."""
+    return np.full(num_vertices, _UNWOKEN, dtype=np.int64)
+
+
+def lower_neighbour_floor(
+    floor: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    changed: np.ndarray,
+    new_h: np.ndarray,
+    vertex_offset: int = 0,
+) -> None:
+    """Lower ``floor`` at every neighbour of ``changed`` to their new value.
+
+    ``floor[v]`` becomes the smallest ``new_h[u]`` over the changed
+    neighbours u of v seen so far.  ``indptr``/``indices`` is a CSR whose
+    row ``r`` is vertex ``vertex_offset + r`` (the whole graph, or one
+    shard of it); ``changed`` holds global ids of rows in it.  Shards can
+    lower the same ``floor`` one after another: each changed vertex's new
+    value is final once its own shard has been swept.
+    """
+    if changed.size == 0:
+        return
+    rows = changed - vertex_offset
+    starts = indptr[rows].astype(np.int64, copy=False)
+    lengths = indptr[rows + 1] - starts
+    slots = concat_ranges(starts, lengths)
+    np.minimum.at(floor, indices[slots], np.repeat(new_h[changed], lengths))
+
+
+def split_woken(
+    floor: np.ndarray, new_h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(woken, frontier)`` of a finished sweep from its neighbour floor.
+
+    ``woken`` is every vertex with a changed neighbour; ``frontier`` the
+    woken vertices a changed neighbour now sits strictly below, the only
+    ones whose value can move next sweep.  Both are sorted.
+    """
+    woken = np.flatnonzero(floor != _UNWOKEN)
+    return woken, woken[floor[woken] < new_h[woken]]
+
+
 def frontier_synchronous_sweep(
     graph: "UndirectedGraph",
     h: np.ndarray,
     frontier: np.ndarray | None = None,
     runtime: "SimRuntime | None" = None,
     clamp: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Jacobi sweep restricted to ``frontier``; return ``(new_h, next)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Jacobi sweep restricted to ``frontier``; ``(new_h, woken, next)``.
 
     ``frontier=None`` performs a full sweep (use it for the first
-    iteration, when every vertex is active).  ``next`` is the set of
-    vertices whose value may change in the following sweep: the
-    neighbours of every vertex that changed in this one.  An empty
-    ``next`` certifies the fixed point.
+    iteration, when every vertex is active).  ``woken`` is every
+    neighbour of a vertex that changed in this sweep; an empty ``woken``
+    certifies the fixed point.  ``next`` is the subset of ``woken`` that
+    has a changed neighbour whose new value is strictly below its own:
+    the only vertices whose value can change in the following sweep, and
+    the ``frontier`` to pass to it.
 
     ``clamp=True`` takes ``min(old, recomputed)``, making the iteration
     monotone decreasing from *any* pointwise upper bound of the core
@@ -112,7 +170,7 @@ def frontier_synchronous_sweep(
     """
     n = graph.num_vertices
     if n == 0:
-        return h.copy(), _EMPTY
+        return h.copy(), _EMPTY, _EMPTY
     indptr, indices = graph.indptr, graph.indices
     if frontier is None:
         from ..core.hindex import synchronous_sweep
@@ -125,7 +183,7 @@ def frontier_synchronous_sweep(
         frontier = np.asarray(frontier, dtype=np.int64)
         new_h = h.copy()
         if frontier.size == 0:
-            return new_h, _EMPTY
+            return new_h, _EMPTY, _EMPTY
         if runtime is not None and runtime.sanitize:
 
             def frontier_body(i, old, new):
@@ -147,7 +205,9 @@ def frontier_synchronous_sweep(
                 values = np.minimum(values, h[frontier])
             new_h[frontier] = values
         changed = frontier[new_h[frontier] < h[frontier]]
-    return new_h, _neighbors_of(graph, changed)
+    floor = unwoken_floor(n)
+    lower_neighbour_floor(floor, indptr, indices, changed, new_h)
+    return (new_h, *split_woken(floor, new_h))
 
 
 def gauss_seidel_batches(

@@ -12,11 +12,13 @@ run unchanged per shard:
   :func:`repro.kernels.frontier.hindex_sweep_values`: h-index
   recomputation for all (or a subset of) the shard's rows against a
   *global* ``h`` array, since neighbour ids may live on other shards.
-* :func:`shard_adjacency_slots` — adjacency-slot ranges of a vertex
-  subset, for waking neighbours across shard boundaries.
 * :func:`shard_induced_edge_count` — the shard's contribution to an
   induced edge count under a global membership mask, de-duplicated with
   the same ``head < tail`` convention as the monolithic kernel.
+
+Waking neighbours across shard boundaries needs no shard kernel of its
+own: :func:`repro.kernels.frontier.lower_neighbour_floor` takes the same
+``vertex_offset``.
 
 Bit-identity with the monolithic kernels is pinned by the shard
 equivalence suites; per-vertex values depend only on (degrees, neighbour
@@ -32,27 +34,8 @@ from .segments import concat_ranges
 
 __all__ = [
     "shard_sweep_values",
-    "shard_adjacency_slots",
     "shard_induced_edge_count",
 ]
-
-
-def shard_adjacency_slots(
-    indptr: np.ndarray,
-    vertices: np.ndarray,
-    vertex_offset: int = 0,
-) -> np.ndarray:
-    """Adjacency-slot ranges of ``vertices`` in a shard-local CSR.
-
-    ``vertices`` holds *global* ids; rows are looked up at
-    ``vertices - vertex_offset``.  The returned slot ids index the
-    shard's flat ``indices`` array (concatenated per-vertex ranges, in
-    the order of ``vertices``).
-    """
-    rows = np.asarray(vertices, dtype=np.int64) - vertex_offset
-    starts = np.asarray(indptr, dtype=np.int64)[rows]
-    lengths = np.asarray(indptr, dtype=np.int64)[rows + 1] - starts
-    return concat_ranges(starts, lengths)
 
 
 def shard_sweep_values(

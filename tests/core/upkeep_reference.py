@@ -229,12 +229,13 @@ class ReferenceUpkeep(DynamicKStarCore):
         if op > 0:
             h_local[:k] = h_local[:k] + (h_local[:k] == r)
         h_local[:k] = np.minimum(h_local[:k], local_graph.degrees()[:k])
-        active = np.arange(k, dtype=np.int64)
+        active = frontier = np.arange(k, dtype=np.int64)
         while active.size:
-            h_local, nxt = frontier_synchronous_sweep(
-                local_graph, h_local, frontier=active, clamp=True
+            h_local, woken, frontier = frontier_synchronous_sweep(
+                local_graph, h_local, frontier=frontier, clamp=True
             )
             self.total_sweeps += 1
-            active = nxt[nxt < k]
+            active = woken[woken < k]
+            frontier = frontier[frontier < k]
         self._h[region] = h_local[:k]
         return k
