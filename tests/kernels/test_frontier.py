@@ -161,12 +161,9 @@ def check_woken_frontier_rule(graph, mode, seed=0):
         h_ref = full(h_ref)
         assert np.array_equal(h, h_ref)
         assert np.all(np.isin(frontier, woken))
-        skipped = np.setdiff1d(woken, frontier)
-        following = full(h)
-        assert np.array_equal(following[skipped], h[skipped])
         left_out = np.ones(graph.num_vertices, dtype=bool)
         left_out[frontier] = False
-        assert np.array_equal(following[left_out], h[left_out])
+        assert np.array_equal(full(h)[left_out], h[left_out])
         if woken.size == 0:
             break
     assert sweeps == full_sweeps
@@ -192,10 +189,10 @@ class TestWokenFrontierRule:
         check_woken_frontier_rule(graph, mode)
 
     @pytest.mark.parametrize("mode", MODES)
-    @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    @given(drawn=small_graphs(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_rule_is_exact_on_drawn_graphs(self, mode, graph, seed):
-        check_woken_frontier_rule(graph, mode, seed)
+    def test_rule_is_exact_on_drawn_graphs(self, mode, drawn, seed):
+        check_woken_frontier_rule(drawn, mode, seed)
 
     def test_frontier_is_a_strict_subset_somewhere(self):
         # The rule must skip something on a skewed graph, or it saves nothing.
